@@ -24,7 +24,7 @@ from .baselines import (
     ks_exponential_statistic,
     ks_statistic,
 )
-from .bases import BasisFamily, basis_sums, bin_index, fourier_eval, legendre_eval
+from .bases import BasisFamily, basis_sums, bin_index, fourier_eval
 from .calibration import (
     CalibrationTable,
     StatisticKind,
@@ -41,7 +41,6 @@ from .errors import (
     InvalidInputError,
     SupportViolationError,
     TableMismatchError,
-    UnsupportedDegreeError,
 )
 from .estimators import (
     ModelIndex,

@@ -16,10 +16,12 @@ from .errors import TableMismatchError
 from .estimators import (
     ModelIndex,
     ScaleSearchPolicy,
-    t_hat,
+    _scale_search,
+    simple_stats_batch,
     t_tilde_affine,
-    t_tilde_scale,
 )
+# Imported only so that perfbench/tracing.py can wrap them at this import site.
+from .estimators import t_hat, t_tilde_scale  # noqa: F401
 from .null_models import NullDensity
 
 
@@ -98,10 +100,11 @@ def _assemble(table: CalibrationTable, diagnostics: list[ModelDiagnostic]) -> Te
 def run_simple_test(sample: np.ndarray, d: NullDensity, table: CalibrationTable) -> TestResult:
     """Fixed-density test: reject when some model's statistic clears its threshold."""
     _check_table(sample, d, table, StatisticKind.SIMPLE)
-    diagnostics = []
-    for m, thr in zip(table.models, table.thresholds_at_u_alpha):
-        stat = t_hat(sample, m, d)
-        diagnostics.append(ModelDiagnostic(m, stat, float(thr), stat - float(thr)))
+    stats = simple_stats_batch(np.asarray(sample, dtype=float)[None, :], table.models, d)[0]
+    diagnostics = [
+        ModelDiagnostic(m, float(stat), float(thr), float(stat) - float(thr))
+        for m, stat, thr in zip(table.models, stats, table.thresholds_at_u_alpha)
+    ]
     return _assemble(table, diagnostics)
 
 
@@ -122,19 +125,22 @@ def run_composite_invariant_test(
         policy = table.policy
     if policy != table.policy:
         raise TableMismatchError("search policy differs from the calibrated one")
-    diagnostics = []
-    for m, thr in zip(table.models, table.thresholds_at_u_alpha):
-        res = t_tilde_scale(sample, m, d, policy)
-        diagnostics.append(
-            ModelDiagnostic(
-                m,
-                res.value,
-                float(thr),
-                res.value - float(thr),
-                sigma=res.sigma,
-                sigma_ratio=res.sigma_ratio,
-            )
+    x = np.asarray(sample, dtype=float)
+    values, ratios = _scale_search(x[None, :], table.models, d, policy)
+    mean = float(np.mean(x))
+    diagnostics = [
+        ModelDiagnostic(
+            m,
+            float(value),
+            float(thr),
+            float(value) - float(thr),
+            sigma=mean * float(ratio),
+            sigma_ratio=float(ratio),
         )
+        for m, value, ratio, thr in zip(
+            table.models, values[0], ratios[0], table.thresholds_at_u_alpha
+        )
+    ]
     return _assemble(table, diagnostics)
 
 

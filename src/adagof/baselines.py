@@ -110,7 +110,7 @@ def ks_exponential_statistic_batch(samples: np.ndarray) -> np.ndarray:
     x = np.asarray(samples, dtype=float)
     if np.any(x <= 0.0):
         raise SupportViolationError("exponentiality statistic needs positive observations")
-    r = np.sort(np.float32(x / x.mean(axis=1)[:, None]).astype(np.float64), axis=1)
+    r = np.sort(scale_free_ratios(x), axis=1)
     return _sorted_cdf_ks(-np.expm1(-r))
 
 

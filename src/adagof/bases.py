@@ -1,16 +1,17 @@
-"""Orthonormal function systems feeding the projection statistics.
+"""Orthonormal function systems of the projection statistics.
 
-Four families:
+Two families:
 
 * ``PIECEWISE_CONSTANT`` -- indicators ``sqrt(D) * 1_[k/D, (k+1)/D)`` for
   ``k`` ranging over all integers.  The index set is unbounded, so the family
-  is realized lazily through sparse bin counting rather than explicit
-  function objects.
+  is realized lazily through bin indices rather than explicit function
+  objects.
 * ``FOURIER`` -- the trigonometric system on [0, 1]: the constant function,
   then ``sqrt(2) cos(2 pi p x)`` and ``sqrt(2) sin(2 pi p x)`` interleaved.
-* ``COSINE`` -- half-range cosines ``sqrt(2) cos(l pi x)`` on [0, 1].
-* ``LEGENDRE`` -- shifted Legendre polynomials rescaled to unit norm on
-  [0, 1], evaluated by the three-term recurrence.
+
+The statistic kernels in :mod:`adagof.estimators` evaluate these directly;
+:func:`basis_sums` and :func:`bin_counts` expose the per-function sums of
+one sample.
 """
 
 from __future__ import annotations
@@ -21,14 +22,7 @@ from collections import Counter
 
 import numpy as np
 
-from .errors import InvalidInputError, UnsupportedDegreeError
-
-#: Highest Legendre degree evaluated by the recurrence.  Double precision is
-#: comfortably stable this far; the procedures here never select beyond 12.
-MAX_LEGENDRE_DEGREE = 20
-
-#: Sample size above which dense-family sums switch to compensated summation.
-_COMPENSATED_SUM_THRESHOLD = 10_000
+from .errors import InvalidInputError
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -36,8 +30,6 @@ _SQRT2 = math.sqrt(2.0)
 class BasisFamily(enum.Enum):
     PIECEWISE_CONSTANT = "piecewise"
     FOURIER = "fourier"
-    COSINE = "cosine"
-    LEGENDRE = "legendre"
 
 
 def bin_index(x: float, D: int, upper: float | None = None) -> int:
@@ -93,79 +85,17 @@ def fourier_eval(l: int, x):
     return out if out.ndim else float(out)
 
 
-def cosine_eval(l: int, x):
-    """Half-range cosine ``sqrt(2) cos(l pi x)`` on [0, 1] (constant for l=0)."""
-    if l < 0:
-        raise InvalidInputError(f"function index must be nonnegative, got {l}")
-    xa = np.asarray(x, dtype=float)
-    if np.any(xa < 0.0) or np.any(xa > 1.0):
-        raise InvalidInputError("cosine basis is defined on [0, 1]")
-    out = np.ones_like(xa) if l == 0 else _SQRT2 * np.cos(l * np.pi * xa)
-    return out if out.ndim else float(out)
-
-
-def legendre_eval(l: int, x):
-    """Unit-norm shifted Legendre polynomial of degree ``l`` at ``x`` in [0, 1].
-
-    Computed as ``sqrt(2 l + 1) * P_l(2 x - 1)`` with ``P_l`` evaluated by the
-    Bonnet recurrence ``(k+1) P_{k+1} = (2k+1) t P_k - k P_{k-1}``.
-    """
-    if l < 0:
-        raise InvalidInputError(f"degree must be nonnegative, got {l}")
-    if l > MAX_LEGENDRE_DEGREE:
-        raise UnsupportedDegreeError(
-            f"legendre degree {l} exceeds the supported maximum {MAX_LEGENDRE_DEGREE}"
-        )
-    xa = np.asarray(x, dtype=float)
-    if np.any(xa < 0.0) or np.any(xa > 1.0):
-        raise InvalidInputError("legendre basis is defined on [0, 1]")
-    t = 2.0 * xa - 1.0
-    p_prev = np.ones_like(t)
-    if l == 0:
-        out = p_prev
-    else:
-        p_cur = t.copy()
-        for k in range(1, l):
-            p_prev, p_cur = p_cur, ((2 * k + 1) * t * p_cur - k * p_prev) / (k + 1)
-        out = p_cur
-    out = math.sqrt(2 * l + 1) * out
-    return out if out.ndim else float(out)
-
-
-_DENSE_EVAL = {
-    BasisFamily.FOURIER: fourier_eval,
-    BasisFamily.COSINE: cosine_eval,
-    BasisFamily.LEGENDRE: legendre_eval,
-}
-
-
-def _dense_sums(sample: np.ndarray, family: BasisFamily, D: int):
-    evaluate = _DENSE_EVAL[family]
-    n = sample.size
-    S = np.empty(D + 1)
-    Q = np.empty(D + 1)
-    for l in range(D + 1):
-        vals = np.asarray(evaluate(l, sample))
-        if n > _COMPENSATED_SUM_THRESHOLD:
-            S[l] = math.fsum(vals)
-            Q[l] = math.fsum(vals * vals)
-        else:
-            S[l] = vals.sum()
-            Q[l] = (vals * vals).sum()
-    return S, Q
-
-
 def basis_sums(
     sample: np.ndarray,
     family: BasisFamily,
     D: int,
     upper: float | None = None,
 ):
-    """Per-function sums feeding the pair-sum identity of the estimators.
+    """Per-function sums of the pair-sum identity for one sample.
 
     For the piecewise-constant family the return value is the sparse count
     map ``{k: N_k}`` (from which ``S_k = sqrt(D) N_k`` and ``Q_k = D N_k``);
-    for the dense families it is the pair of length-(D+1) arrays
+    for the Fourier family it is the pair of length-(D+1) arrays
     ``(S_l, Q_l)`` with ``S_l = sum_i p_l(X_i)`` and ``Q_l = sum_i p_l(X_i)^2``.
     """
     x = np.asarray(sample, dtype=float)
@@ -173,6 +103,5 @@ def basis_sums(
         raise InvalidInputError("sample must be nonempty")
     if family is BasisFamily.PIECEWISE_CONSTANT:
         return bin_counts(x, D, upper=upper)
-    if np.any(x < 0.0) or np.any(x > 1.0):
-        raise InvalidInputError(f"{family.value} basis requires observations in [0, 1]")
-    return _dense_sums(x, family, D)
+    vals = np.array([fourier_eval(l, x) for l in range(D + 1)])
+    return vals.sum(axis=1), (vals * vals).sum(axis=1)

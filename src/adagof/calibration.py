@@ -175,6 +175,13 @@ def select_u_alpha(
     return float(u[ok[-1]]), levels
 
 
+def _basis_family(name: str) -> BasisFamily:
+    try:
+        return BasisFamily(name)
+    except ValueError:
+        raise InvalidInputError(f"unknown basis family {name!r} in calibration table") from None
+
+
 @dataclass(frozen=True)
 class CalibrationTable:
     """Thresholds plus the selected u, with full provenance."""
@@ -220,7 +227,7 @@ class CalibrationTable:
                 f"unsupported calibration table schema: {doc.get('schema_version')!r}"
             )
         models = tuple(
-            ModelIndex(BasisFamily(m["family"]), int(m["degree"])) for m in doc["models"]
+            ModelIndex(_basis_family(m["family"]), int(m["degree"])) for m in doc["models"]
         )
         u_grid = np.asarray(doc["u_grid"], dtype=float)
         thresholds = np.asarray(doc["thresholds"], dtype=float).reshape(

@@ -13,10 +13,6 @@ class InsufficientSampleError(InvalidInputError):
     """The statistic needs more observations than were supplied."""
 
 
-class UnsupportedDegreeError(InvalidInputError):
-    """A basis degree beyond the supported stability range was requested."""
-
-
 class SupportViolationError(InvalidInputError):
     """An observation lies outside the support required by the null family."""
 

@@ -12,7 +12,7 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from pathlib import Path
@@ -78,9 +78,6 @@ class TestKind(Enum):
     KL = "kl"
 
 
-_ADAPTIVE = {TestKind.TTR, TestKind.TTR_CT, TestKind.TD, TestKind.COMPOSITE}
-
-
 def trigonometric_models(d_tr: int) -> list[ModelIndex]:
     return [ModelIndex(BasisFamily.FOURIER, d) for d in range(1, d_tr + 1)]
 
@@ -96,6 +93,27 @@ def direct_models(d_lo: int = 1, d_hi: int = 10) -> list[ModelIndex]:
 
 def scale_models(d_lo: int = 2, d_hi: int = 10) -> list[ModelIndex]:
     return [ModelIndex(BasisFamily.PIECEWISE_CONSTANT, d) for d in range(d_lo, d_hi + 1)]
+
+
+# Adaptive test -> (null spec its table is calibrated under, or None for the
+# configured null; model collection; statistic).  TTR and TTR_CT see the
+# null-cdf transform of the data, so they are calibrated under the uniform.
+_ADAPTIVE = {
+    TestKind.TTR: (
+        "uniform", lambda mp: trigonometric_models(mp.d_tr or 6), StatisticKind.SIMPLE
+    ),
+    TestKind.TTR_CT: (
+        "uniform", lambda mp: mixed_models(mp.d_tr or 6, mp.d_ct or 6), StatisticKind.SIMPLE
+    ),
+    TestKind.TD: (
+        None, lambda mp: direct_models(*(mp.d_range or (1, 10))), StatisticKind.SIMPLE
+    ),
+    TestKind.COMPOSITE: (
+        None,
+        lambda mp: scale_models(*(mp.d_range or (2, 10))),
+        StatisticKind.COMPOSITE_INVARIANT,
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -192,7 +210,6 @@ class PowerReport:
     level: float
     level_std_error: float
     reps_level: int
-    config_echo: dict = field(default_factory=dict)
     wall_clock_s: float = 0.0
 
     def to_csv(self) -> str:
@@ -228,17 +245,13 @@ def _column_decisions(col: TestColumn, samples: np.ndarray, null: NullDensity) -
         data = transform_to_uniform(null, samples)
     else:
         data = samples
-    if kind in (TestKind.TTR, TestKind.TTR_CT):
-        stats = simple_stats_batch(data, col.table.models, col.table.null)
-        return (stats > col.table.thresholds_at_u_alpha[None, :]).any(axis=1)
-    if kind is TestKind.TD:
-        stats = simple_stats_batch(data, col.table.models, col.table.null)
-        return (stats > col.table.thresholds_at_u_alpha[None, :]).any(axis=1)
-    if kind is TestKind.COMPOSITE:
-        stats = composite_scale_stats_batch(
-            data, col.table.models, col.table.null, col.table.policy
-        )
-        return (stats > col.table.thresholds_at_u_alpha[None, :]).any(axis=1)
+    if kind in _ADAPTIVE:
+        table = col.table
+        if table.statistic_kind is StatisticKind.SIMPLE:
+            stats = simple_stats_batch(data, table.models, table.null)
+        else:
+            stats = composite_scale_stats_batch(data, table.models, table.null, table.policy)
+        return (stats > table.thresholds_at_u_alpha[None, :]).any(axis=1)
     if kind is TestKind.KS:
         return ks_statistic_batch(data, Uniform01()) > col.baseline.critical_value
     if kind is TestKind.KS_EXP:
@@ -321,24 +334,21 @@ def _cached_baseline(
     return calibrate_baseline(kind, n, alpha, B, seed, d_of_n)
 
 
+def _adaptive_table_spec(config: ExperimentConfig) -> tuple[str, list[ModelIndex], StatisticKind]:
+    """Null spec, model collection and statistic of an adaptive test's table."""
+    null_spec, models, kind = _ADAPTIVE[config.test]
+    return null_spec or config.null, models(config.model_params), kind
+
+
 def _calibrate_hint(config: ExperimentConfig) -> str:
-    mp = config.model_params
-    if config.test is TestKind.TTR:
-        models = f"fourier:1-{mp.d_tr or 6}"
-        null, stat = config.null, "simple"
-    elif config.test is TestKind.TTR_CT:
-        models = f"piecewise:2-{mp.d_ct or 6},fourier:1-{mp.d_tr or 6}"
-        null, stat = "uniform", "simple"
-    elif config.test is TestKind.TD:
-        lo, hi = mp.d_range or (1, 10)
-        models = f"piecewise:{lo}-{hi}"
-        null, stat = config.null, "simple"
-    else:
-        lo, hi = mp.d_range or (2, 10)
-        models = f"piecewise:{lo}-{hi}"
-        null, stat = config.null, "composite"
+    null, models, kind = _adaptive_table_spec(config)
+    degrees: dict[str, list[int]] = {}
+    for m in models:
+        degrees.setdefault(m.family.value, []).append(m.degree)
+    spec = ",".join(f"{family}:{min(ds)}-{max(ds)}" for family, ds in degrees.items())
+    stat = "composite" if kind is StatisticKind.COMPOSITE_INVARIANT else "simple"
     return (
-        f"adagof calibrate --null '{null}' --models '{models}' --n {config.n} "
+        f"adagof calibrate --null '{null}' --models '{spec}' --n {config.n} "
         f"--alpha {config.alpha} --statistic {stat} --seed {config.seed}"
     )
 
@@ -374,33 +384,14 @@ def build_column(
 
 
 def _table_for_kind(config: ExperimentConfig, workers: int) -> CalibrationTable:
-    null = null_from_spec(config.null)
-    mp = config.model_params
+    null, models, kind = _adaptive_table_spec(config)
+    policy = None
+    if kind is StatisticKind.COMPOSITE_INVARIANT:
+        policy = config.model_params.policy or ScaleSearchPolicy()
     B1, B2 = config.calib
-    if config.test is TestKind.TTR:
-        return _cached_calibrate(
-            Uniform01(),
-            tuple(trigonometric_models(mp.d_tr or 6)),
-            config.n, config.alpha, B1, B2, StatisticKind.SIMPLE, config.seed, None, workers,
-        )
-    if config.test is TestKind.TTR_CT:
-        return _cached_calibrate(
-            Uniform01(),
-            tuple(mixed_models(mp.d_tr or 6, mp.d_ct or 6)),
-            config.n, config.alpha, B1, B2, StatisticKind.SIMPLE, config.seed, None, workers,
-        )
-    if config.test is TestKind.TD:
-        lo, hi = mp.d_range or (1, 10)
-        return _cached_calibrate(
-            null, tuple(direct_models(lo, hi)),
-            config.n, config.alpha, B1, B2, StatisticKind.SIMPLE, config.seed, None, workers,
-        )
-    lo, hi = mp.d_range or (2, 10)
-    policy = mp.policy or ScaleSearchPolicy()
     return _cached_calibrate(
-        null, tuple(scale_models(lo, hi)),
-        config.n, config.alpha, B1, B2,
-        StatisticKind.COMPOSITE_INVARIANT, config.seed, policy, workers,
+        null_from_spec(null), tuple(models),
+        config.n, config.alpha, B1, B2, kind, config.seed, policy, workers,
     )
 
 
@@ -441,16 +432,6 @@ def estimate_power(
         level=level,
         level_std_error=_mc_std_error(level, config.reps_level),
         reps_level=config.reps_level,
-        config_echo={
-            "test": config.test.value,
-            "null": config.null,
-            "n": config.n,
-            "alpha": config.alpha,
-            "seed": config.seed,
-            "reps_power": config.reps_power,
-            "reps_level": config.reps_level,
-            "calib": list(config.calib),
-        },
         wall_clock_s=time.perf_counter() - t0,
     )
 

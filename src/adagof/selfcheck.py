@@ -2,9 +2,9 @@
 
 Each check pits a production code path against an independent brute-force
 route: the pair-sum estimator against its literal double loop, the
-cosine-series statistic against a triple loop, the Legendre recurrence
-against numpy's polynomial evaluation, and the order-statistic KS formula
-against a dense sup scan.
+cosine-series statistic against a triple loop, the smooth test's Legendre
+recurrence against numpy's polynomial evaluation, and the order-statistic KS
+formula against a dense sup scan.
 """
 
 from __future__ import annotations
@@ -12,8 +12,8 @@ from __future__ import annotations
 import numpy as np
 from numpy.polynomial import legendre as npleg
 
-from .baselines import bickel_ritov_statistic, ks_statistic
-from .bases import BasisFamily, legendre_eval
+from .baselines import _legendre_colsums, bickel_ritov_statistic, ks_statistic
+from .bases import BasisFamily
 from .estimators import ModelIndex, theta_hat, theta_hat_naive
 from .null_models import Uniform01
 
@@ -58,13 +58,14 @@ def _check_bickel_ritov(rng: np.random.Generator, cases: int = 10) -> tuple[bool
     return worst <= 1e-10, f"cosine-series statistic vs triple loop: max rel err {worst:.2e}"
 
 
-def _check_legendre(rng: np.random.Generator) -> tuple[bool, str]:
-    xs = np.linspace(0.0, 1.0, 100)
+def _check_legendre(rng: np.random.Generator, dmax: int = 20) -> tuple[bool, str]:
+    x = np.vstack([np.linspace(0.0, 1.0, 100), rng.random((4, 100))])
+    sums = _legendre_colsums(x, dmax)
     worst = 0.0
-    for l in range(6):
-        direct = np.sqrt(2 * l + 1) * npleg.legval(2.0 * xs - 1.0, [0.0] * l + [1.0])
-        worst = max(worst, float(np.max(np.abs(legendre_eval(l, xs) - direct))))
-    return worst <= 1e-12, f"legendre recurrence vs polynomial evaluation: max abs err {worst:.2e}"
+    for l in range(1, dmax + 1):
+        phi = np.sqrt(2 * l + 1) * npleg.legval(2.0 * x - 1.0, [0.0] * l + [1.0])
+        worst = max(worst, float(np.max(np.abs(sums[l - 1] - phi.sum(axis=1)))))
+    return worst <= 1e-10, f"legendre recurrence vs polynomial evaluation: max abs err {worst:.2e}"
 
 
 def _ks_grid_oracle(x: np.ndarray, grid_size: int = 100_000) -> float:

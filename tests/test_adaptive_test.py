@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -8,8 +10,15 @@ from adagof.adaptive_test import (
 )
 from adagof.bases import BasisFamily
 from adagof.calibration import StatisticKind, calibrate
-from adagof.errors import SupportViolationError, TableMismatchError
-from adagof.estimators import ModelIndex, ScaleSearchPolicy, t_hat
+from adagof.errors import AdagofError, SupportViolationError, TableMismatchError
+from adagof.estimators import (
+    ModelIndex,
+    ScaleSearchPolicy,
+    composite_scale_stats_batch,
+    simple_stats_batch,
+    t_hat,
+)
+from adagof.harness import direct_models, mixed_models, scale_models
 from adagof.null_models import Exponential, Gaussian, Uniform01
 from adagof.streams import derive_stream
 
@@ -153,3 +162,77 @@ class TestCompositeCompactTest:
                 (x - mu0) / sig0, Gaussian(0.0, 1.0), gauss_table
             ).reject
         assert rejections <= simple_rejections
+
+
+@pytest.fixture(scope="module")
+def fourier_table():
+    return calibrate(
+        Uniform01(), [ModelIndex(FOURIER, d) for d in (1, 2, 3)],
+        n=40, alpha=0.05, B1=200, B2=200, seed=34,
+    )
+
+
+def _with_bad_value(n, bad):
+    x = np.linspace(0.05, 0.95, n)
+    x[7] = bad
+    return x
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+class TestNonFiniteObservation:
+    def test_simple_test_raises(self, bad, simple_table, fourier_table):
+        for table in (simple_table, fourier_table):
+            with pytest.raises(AdagofError):
+                run_simple_test(_with_bad_value(40, bad), Uniform01(), table)
+
+    def test_composite_invariant_test_raises(self, bad, composite_table):
+        with pytest.raises(AdagofError):
+            run_composite_invariant_test(_with_bad_value(60, bad), Exponential(), None, composite_table)
+
+    def test_composite_compact_test_raises(self, bad, gauss_table):
+        with pytest.raises(AdagofError):
+            run_composite_compact_test(
+                _with_bad_value(50, bad), Gaussian(0.0, 1.0), ((-0.5, 0.5), (0.5, 2.0)), (3, 3),
+                gauss_table,
+            )
+
+
+def _assert_decisions_are_kernel_rows(results, batch, table):
+    for res, row in zip(results, batch):
+        stats = np.array([p.stat for p in res.per_model])
+        assert stats.tobytes() == row.tobytes()
+        assert res.reject == bool((row > table.thresholds_at_u_alpha).any())
+
+
+class TestDecisionsUseTheKernel:
+    """A decision's per-model statistics are the kernel's row for its sample,
+    bit for bit, so the decision matches the simulation that calibrated it."""
+
+    def test_simple_uniform_mixed_collection(self):
+        d = Uniform01()
+        table = calibrate(d, mixed_models(12, 10), n=100, alpha=0.05, B1=1000, B2=1000, seed=35)
+        rng = np.random.default_rng(36)
+        samples = np.vstack([rng.random((100, 100)), rng.beta(1.5, 1.5, (100, 100))])
+        results = [run_simple_test(x, d, table) for x in samples]
+        _assert_decisions_are_kernel_rows(results, simple_stats_batch(samples, table.models, d), table)
+
+    def test_simple_gaussian_direct_collection(self):
+        d = Gaussian(0.0, 1.0)
+        table = calibrate(d, direct_models(1, 10), n=100, alpha=0.05, B1=200, B2=200, seed=37)
+        rng = np.random.default_rng(38)
+        samples = np.vstack([rng.normal(size=(100, 100)), rng.standard_t(4, (100, 100))])
+        results = [run_simple_test(x, d, table) for x in samples]
+        _assert_decisions_are_kernel_rows(results, simple_stats_batch(samples, table.models, d), table)
+
+    def test_composite_exponential_scale_collection(self):
+        d = Exponential()
+        table = calibrate(
+            d, scale_models(2, 10), n=100, alpha=0.1, B1=200, B2=200, seed=39,
+            statistic_kind=StatisticKind.COMPOSITE_INVARIANT,
+        )
+        rng = np.random.default_rng(40)
+        scales = np.exp(rng.uniform(-2.0, 2.0, (200, 1)))
+        samples = np.vstack([rng.exponential(1.0, (100, 100)), rng.weibull(1.5, (100, 100))]) * scales
+        results = [run_composite_invariant_test(x, d, None, table) for x in samples]
+        batch = composite_scale_stats_batch(samples, table.models, d, table.policy)
+        _assert_decisions_are_kernel_rows(results, batch, table)

@@ -7,16 +7,13 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from adagof.bases import (
-    MAX_LEGENDRE_DEGREE,
     BasisFamily,
     basis_sums,
     bin_counts,
     bin_index,
-    cosine_eval,
     fourier_eval,
-    legendre_eval,
 )
-from adagof.errors import InvalidInputError, UnsupportedDegreeError
+from adagof.errors import InvalidInputError
 
 SQRT2 = math.sqrt(2.0)
 
@@ -58,32 +55,6 @@ class TestFourier:
             fourier_eval(1, 1.2)
 
 
-class TestLegendre:
-    def test_hand_values(self):
-        assert legendre_eval(0, 0.8) == 1.0
-        assert legendre_eval(1, 1.0) == pytest.approx(math.sqrt(3.0), abs=1e-14)
-        assert legendre_eval(2, 0.5) == pytest.approx(-math.sqrt(5.0) / 2.0, abs=1e-14)
-
-    def test_degree_cap(self):
-        with pytest.raises(UnsupportedDegreeError):
-            legendre_eval(MAX_LEGENDRE_DEGREE + 1, 0.5)
-
-    def test_recurrence_matches_direct_polynomials(self):
-        # closed forms for P_0..P_5 on [-1, 1]
-        direct = [
-            lambda t: np.ones_like(t),
-            lambda t: t,
-            lambda t: (3 * t**2 - 1) / 2,
-            lambda t: (5 * t**3 - 3 * t) / 2,
-            lambda t: (35 * t**4 - 30 * t**2 + 3) / 8,
-            lambda t: (63 * t**5 - 70 * t**3 + 15 * t) / 8,
-        ]
-        xs = np.linspace(0.0, 1.0, 100)
-        for l, poly in enumerate(direct):
-            expected = math.sqrt(2 * l + 1) * poly(2 * xs - 1)
-            np.testing.assert_allclose(legendre_eval(l, xs), expected, atol=1e-12)
-
-
 def _simpson_inner_product(f, g, panels=2**14):
     xs = np.linspace(0.0, 1.0, panels + 1)
     return integrate.simpson(f(xs) * g(xs), x=xs)
@@ -93,8 +64,6 @@ def _simpson_inner_product(f, g, panels=2**14):
     "family,evaluate,max_degree",
     [
         (BasisFamily.FOURIER, fourier_eval, 32),
-        (BasisFamily.COSINE, cosine_eval, 32),
-        (BasisFamily.LEGENDRE, legendre_eval, MAX_LEGENDRE_DEGREE),
     ],
 )
 def test_orthonormality_smooth_families(family, evaluate, max_degree):
@@ -150,11 +119,6 @@ class TestBasisSums:
         S, Q = basis_sums(np.array([0.5]), BasisFamily.FOURIER, 0)
         np.testing.assert_allclose(S, [1.0])
         np.testing.assert_allclose(Q, [1.0])
-
-    def test_legendre_two_points(self):
-        S, Q = basis_sums(np.array([0.5, 0.5]), BasisFamily.LEGENDRE, 1)
-        np.testing.assert_allclose(S, [2.0, 0.0], atol=1e-15)
-        np.testing.assert_allclose(Q, [2.0, 0.0], atol=1e-15)
 
     def test_domain_violation(self):
         with pytest.raises(InvalidInputError):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from adagof.bases import BasisFamily
 from adagof.errors import (
+    AdagofError,
     InsufficientSampleError,
     InvalidInputError,
     SupportViolationError,
@@ -23,7 +24,6 @@ from adagof.estimators import (
     t_tilde_scale,
     theta_hat,
     theta_hat_naive,
-    _standardized_t_hat,
 )
 from adagof.null_models import Exponential, Gaussian, Uniform01
 from adagof.streams import derive_stream
@@ -97,6 +97,34 @@ class TestTHat:
         assert t_hat(x, ModelIndex(PW, 4), Uniform01()) == pytest.approx(4.0 + 1.0 - 2.0)
 
 
+def _reference_scale_search(x, m, d, policy):
+    """Literal grid-and-refine search, one candidate ratio at a time, each
+    scored with ``t_hat``.  Candidates use the kernel's formulas (coarse
+    ``y * (1 / r)``, refined ``y / exp(lo + (hi - lo) * (t / steps))``, each
+    round's window one step either side of the log of the running argmin
+    ratio, inside the first window), so the two can agree exactly.
+    Returns (value, ratio)."""
+    y = np.sort(scale_free_ratios(x))
+    grid = policy.ratios()
+    values = [t_hat(y * (1.0 / r), m, d) for r in grid]
+    j = int(np.argmin(values))
+    best, best_ratio = values[j], grid[j]
+    log_grid = np.log(grid)
+    lo, hi = log_grid[max(j - 1, 0)], log_grid[min(j + 1, grid.size - 1)]
+    cur_lo, cur_hi = lo, hi
+    steps = 2 * policy.refine_factor
+    for _ in range(policy.refine_rounds):
+        for t in range(steps + 1):
+            r = np.exp(cur_lo + (cur_hi - cur_lo) * (t / steps))
+            v = t_hat(y / r, m, d)
+            if v < best:
+                best, best_ratio = v, r
+        width = (cur_hi - cur_lo) / steps
+        cur_lo = max(np.log(best_ratio) - width, lo)
+        cur_hi = min(np.log(best_ratio) + width, hi)
+    return best, best_ratio
+
+
 @pytest.fixture(scope="module")
 def exp_sample():
     return Exponential().sample(500, derive_stream(42, "scale-search", 0))
@@ -121,16 +149,14 @@ class TestScaleSearch:
         m = ModelIndex(PW, 5)
         res = t_tilde_scale(exp_sample, m, Exponential())
         y = np.sort(scale_free_ratios(exp_sample))
-        assert res.value <= _standardized_t_hat(y, m, Exponential(), 1.0)
+        assert res.value <= t_hat(y, m, Exponential())
 
     def test_value_is_min_over_coarse_grid(self, exp_sample):
         m = ModelIndex(PW, 7)
         policy = ScaleSearchPolicy(refine_rounds=0)
         res = t_tilde_scale(exp_sample, m, Exponential(), policy)
         y = np.sort(scale_free_ratios(exp_sample))
-        grid_vals = [
-            _standardized_t_hat(y, m, Exponential(), 1.0 / r) for r in policy.ratios()
-        ]
+        grid_vals = [t_hat(y * (1.0 / r), m, Exponential()) for r in policy.ratios()]
         assert res.value == min(grid_vals)
 
     def test_refinement_never_increases_value(self, exp_sample):
@@ -148,11 +174,18 @@ class TestScaleSearch:
         y = np.sort(scale_free_ratios(exp_sample))
         span = math.log(10.0)
         dense = np.exp(np.linspace(-span, span, 100_000))
-        for D in (2, 5, 10):
-            m = ModelIndex(PW, D)
-            dense_min = min(_standardized_t_hat(y, m, d, 1.0 / r) for r in dense)
+        models = [ModelIndex(PW, D) for D in (2, 5, 10)]
+        # row k of each chunk is t_hat(y * (1.0 / dense[k])) for every model
+        dense_min = np.min(
+            [
+                simple_stats_batch(y[None, :] * (1.0 / chunk[:, None]), models, d).min(axis=0)
+                for chunk in np.array_split(dense, 50)
+            ],
+            axis=0,
+        )
+        for D, m, lowest in zip((2, 5, 10), models, dense_min):
             res = t_tilde_scale(exp_sample, m, d, ScaleSearchPolicy(refine_rounds=3))
-            gap = res.value - dense_min
+            gap = res.value - lowest
             assert gap >= -1e-4, (D, gap)
             assert gap <= 1e-3, (D, gap)
 
@@ -168,8 +201,28 @@ class TestScaleSearch:
         batch = composite_scale_stats_batch(samples, models, d, policy)
         for r in range(3):
             for c, m in enumerate(models):
-                single = t_tilde_scale(samples[r], m, d, policy).value
-                assert batch[r, c] == pytest.approx(single, abs=1e-13)
+                value, ratio = _reference_scale_search(samples[r], m, d, policy)
+                single = t_tilde_scale(samples[r], m, d, policy)
+                assert batch[r, c] == single.value == value
+                assert single.sigma_ratio == ratio
+
+    @pytest.mark.parametrize("rounds", [0, 1, 2, 3])
+    def test_refinement_matches_reference_search(self, rounds):
+        d = Exponential()
+        policy = ScaleSearchPolicy(refine_rounds=rounds)
+        models = [ModelIndex(PW, D) for D in (2, 5, 10)]
+        samples = np.stack([d.sample(100, derive_stream(43, "refine", r)) for r in range(15)])
+        batch = composite_scale_stats_batch(samples, models, d, policy)
+        for k, x in enumerate(samples):
+            for c, m in enumerate(models):
+                assert batch[k, c] == _reference_scale_search(x, m, d, policy)[0], (k, m)
+
+    def test_single_observation_raises(self):
+        m, d = ModelIndex(PW, 3), Exponential()
+        with pytest.raises(InsufficientSampleError):
+            composite_scale_stats_batch(np.ones((4, 1)), [m], d, ScaleSearchPolicy())
+        with pytest.raises(InsufficientSampleError):
+            t_tilde_scale(np.array([2.0]), m, d)
 
 
 class TestAffineSearch:
@@ -211,17 +264,25 @@ class TestAffineSearch:
             t_tilde_affine(gauss_sample, ModelIndex(PW, 2), Gaussian(0.0, 1.0), ((0.0, 0.0), (-1.0, 2.0)))
 
 
+def _oracle_t_hat(x, m, d):
+    upper = d.support[1] if math.isfinite(d.support[1]) else None
+    plug_in = d.l2_norm_sq - 2.0 * float(np.sum(d.pdf(x))) / x.size
+    return theta_hat_naive(x, m, upper=upper) + plug_in
+
+
 class TestBatchedSimpleStats:
     def test_matches_single_path(self):
         rng = np.random.default_rng(5)
         samples = rng.random((8, 60))
+        samples[0, 0] = 1.0  # upper support edge
         models = pinned_order(
             [ModelIndex(FOURIER, 3), ModelIndex(PW, 4), ModelIndex(PW, 2), ModelIndex(FOURIER, 1)]
         )
         batch = simple_stats_batch(samples, models, Uniform01())
         for r in range(8):
             for c, m in enumerate(models):
-                assert batch[r, c] == pytest.approx(t_hat(samples[r], m, Uniform01()), abs=1e-13)
+                expected = _oracle_t_hat(samples[r], m, Uniform01())
+                assert batch[r, c] == pytest.approx(expected, abs=1e-13)
 
     def test_gaussian_null_unbounded_bins(self):
         rng = np.random.default_rng(6)
@@ -231,7 +292,28 @@ class TestBatchedSimpleStats:
         batch = simple_stats_batch(samples, models, d)
         for r in range(5):
             for c, m in enumerate(models):
-                assert batch[r, c] == pytest.approx(t_hat(samples[r], m, d), abs=1e-13)
+                assert batch[r, c] == pytest.approx(_oracle_t_hat(samples[r], m, d), abs=1e-13)
+
+
+_ENTRY_POINTS = {
+    "theta_hat_fourier": lambda x: theta_hat(x, ModelIndex(FOURIER, 3)),
+    "theta_hat_piecewise": lambda x: theta_hat(x, ModelIndex(PW, 3)),
+    "t_hat_fourier": lambda x: t_hat(x, ModelIndex(FOURIER, 3), Uniform01()),
+    "t_hat_piecewise": lambda x: t_hat(x, ModelIndex(PW, 3), Gaussian(0.0, 1.0)),
+    "t_tilde_scale": lambda x: t_tilde_scale(x, ModelIndex(PW, 3), Exponential()),
+    "t_tilde_affine": lambda x: t_tilde_affine(
+        x, ModelIndex(PW, 3), Gaussian(0.0, 1.0), ((-0.5, 0.5), (0.5, 2.0))
+    ),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+def test_non_finite_observation_raises(entry, bad):
+    x = np.linspace(0.05, 0.95, 30)
+    x[7] = bad
+    with pytest.raises(AdagofError):
+        _ENTRY_POINTS[entry](x)
 
 
 def test_pinned_order():
@@ -247,6 +329,6 @@ def test_pinned_order():
 
 def test_model_index_validation():
     with pytest.raises(InvalidInputError):
-        ModelIndex(BasisFamily.LEGENDRE, 3)
+        ModelIndex("legendre", 3)
     with pytest.raises(InvalidInputError):
         ModelIndex(PW, 0)

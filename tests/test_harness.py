@@ -11,6 +11,7 @@ from adagof.harness import (
     ModelParams,
     TestColumn,
     TestKind,
+    build_column,
     derive_stream,
     estimate_power,
     rejection_counts,
@@ -59,6 +60,26 @@ class TestEstimatePower:
             estimate_power(config)
         assert "adagof calibrate" in str(err.value)
         assert "--n 25" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "test,null,params,expected",
+        [
+            (TestKind.TTR, "gaussian:0,1", ModelParams(d_tr=4),
+             "--null 'uniform' --models 'fourier:1-4' --n 30 --alpha 0.05 --statistic simple"),
+            (TestKind.TTR_CT, "gaussian:0,1", ModelParams(),
+             "--null 'uniform' --models 'piecewise:2-6,fourier:1-6' --n 30 --alpha 0.05 --statistic simple"),
+            (TestKind.TD, "gaussian:0,1", ModelParams(d_range=(1, 8)),
+             "--null 'gaussian:0,1' --models 'piecewise:1-8' --n 30 --alpha 0.05 --statistic simple"),
+            (TestKind.COMPOSITE, "exponential", ModelParams(),
+             "--null 'exponential' --models 'piecewise:2-10' --n 30 --alpha 0.05 --statistic composite"),
+        ],
+    )
+    def test_missing_calibration_hint_matches_the_built_table(self, test, null, params, expected):
+        # TTR sees the null-cdf transform of the data, so its table is uniform
+        config = ExperimentConfig(test=test, null=null, n=30, model_params=params, calib=(600, 600))
+        with pytest.raises(CalibrationMissingError) as err:
+            build_column(config)
+        assert f"adagof calibrate {expected} --seed 0" in str(err.value)
 
     def test_power_at_null_equals_level(self, tiny_table):
         config = ExperimentConfig(
@@ -158,6 +179,18 @@ class TestCli:
         ])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("family", ["bogus", "cosine"])
+    def test_unknown_basis_family_in_table_is_an_error(self, tmp_path, capsys, tiny_table, family):
+        doc = tiny_table.to_json()
+        doc["models"][0]["family"] = family
+        table_path = tmp_path / "table.json"
+        table_path.write_text(json.dumps(doc), encoding="utf-8")
+        data_path = tmp_path / "data.txt"
+        data_path.write_text("\n".join(["0.41"] * 25), encoding="utf-8")
+        rc = cli_main(["test", "--calib", str(table_path), "--data", str(data_path)])
+        assert rc == 2
+        assert "unknown basis family" in capsys.readouterr().err
 
     def test_power_subcommand(self, tmp_path, capsys):
         table_path = tmp_path / "table.json"
