@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .errors import InvalidInputError
 from .null_models import NullDensity
@@ -62,6 +62,7 @@ def alt_l2_distance_sq(spec: AlternativeSpec, d: NullDensity) -> float:
     Adaptive quadrature over the union of both quad windows; used to order
     alternatives by difficulty in reports.
     """
+    from scipy import integrate  # deferred: it adds ~26 MB RSS to every process importing adagof
     lo = min(spec.quad_window[0], max(d.support[0], -60.0))
     hi = max(spec.quad_window[1], min(d.support[1], 60.0))
 

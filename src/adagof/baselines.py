@@ -17,7 +17,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import BudgetTooSmallError, InvalidInputError, SupportViolationError
-from .estimators import scale_free_ratios
+from .estimators import _checked_rows, _row, scale_free_ratios
 from .null_models import Exponential, NullDensity, Uniform01
 from .streams import derive_stream
 
@@ -77,24 +77,12 @@ def _sorted_cdf_ks(v: np.ndarray) -> np.ndarray:
 
 def ks_statistic(sample: np.ndarray, d: NullDensity) -> float:
     """Kolmogorov-Smirnov distance between the empirical cdf and the null cdf."""
-    x = np.sort(np.asarray(sample, dtype=float))
-    if x.size == 0:
-        raise InvalidInputError("sample must be nonempty")
-    v = np.asarray(d.cdf(x), dtype=float)
-    return float(_sorted_cdf_ks(v[None, :])[0])
+    return float(ks_statistic_batch(_row(sample), d)[0])
 
 
 def ks_statistic_batch(samples: np.ndarray, d: NullDensity) -> np.ndarray:
-    xs = np.sort(np.asarray(samples, dtype=float), axis=1)
+    xs = np.sort(_checked_rows(samples, min_n=1), axis=1)
     return _sorted_cdf_ks(np.asarray(d.cdf(xs), dtype=float))
-
-
-def _exp_ratio_cdf(sample: np.ndarray) -> np.ndarray:
-    x = np.asarray(sample, dtype=float)
-    if np.any(x <= 0.0):
-        raise SupportViolationError("exponentiality statistic needs positive observations")
-    r = np.sort(scale_free_ratios(x))
-    return -np.expm1(-r)
 
 
 def ks_exponential_statistic(sample: np.ndarray) -> float:
@@ -103,11 +91,11 @@ def ks_exponential_statistic(sample: np.ndarray) -> float:
     Computed on the canonical mean-standardized ratios, so the value is
     bit-identical under ``x -> c x``; its null law is free of the true scale.
     """
-    return float(_sorted_cdf_ks(_exp_ratio_cdf(sample)[None, :])[0])
+    return float(ks_exponential_statistic_batch(_row(sample))[0])
 
 
 def ks_exponential_statistic_batch(samples: np.ndarray) -> np.ndarray:
-    x = np.asarray(samples, dtype=float)
+    x = _checked_rows(samples, min_n=1)
     if np.any(x <= 0.0):
         raise SupportViolationError("exponentiality statistic needs positive observations")
     r = np.sort(scale_free_ratios(x), axis=1)
@@ -130,11 +118,11 @@ def bickel_ritov_statistic(sample: np.ndarray, d_of_n: int) -> float:
     The inner double sum over observation pairs INCLUDES the diagonal, so the
     per-dimension statistic reduces to ``(2/n) sum_l (sum_i cos(l pi X_i))^2``.
     """
-    return float(bickel_ritov_statistic_batch(np.asarray(sample, dtype=float)[None, :], d_of_n)[0])
+    return float(bickel_ritov_statistic_batch(_row(sample), d_of_n)[0])
 
 
 def bickel_ritov_statistic_batch(samples: np.ndarray, d_of_n: int) -> np.ndarray:
-    x = np.asarray(samples, dtype=float)
+    x = _checked_rows(samples, min_n=1)
     _check_unit_interval(x)
     if d_of_n < 1:
         raise InvalidInputError("series dimension must be >= 1")
@@ -166,7 +154,7 @@ def kallenberg_ledwina_statistic_batch(
     ``T_D`` accumulates squared normalized Legendre score sums; the selected
     dimension is the smallest maximizer of ``T_D - D log n``.
     """
-    x = np.asarray(samples, dtype=float)
+    x = _checked_rows(samples, min_n=1)
     _check_unit_interval(x)
     if not 1 <= d_of_n <= 20:
         raise InvalidInputError("series dimension must lie in 1..20")
@@ -183,9 +171,7 @@ def kallenberg_ledwina_test(
     sample: np.ndarray, d_of_n: int, critical_value: float
 ) -> tuple[int, float, bool]:
     """Run the data-driven smooth test; returns (selected_D, statistic, reject)."""
-    selected, stats = kallenberg_ledwina_statistic_batch(
-        np.asarray(sample, dtype=float)[None, :], d_of_n
-    )
+    selected, stats = kallenberg_ledwina_statistic_batch(_row(sample), d_of_n)
     stat = float(stats[0])
     return int(selected[0]), stat, stat > critical_value
 

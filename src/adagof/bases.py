@@ -72,7 +72,7 @@ def fourier_eval(l: int, x):
     if l < 0:
         raise InvalidInputError(f"function index must be nonnegative, got {l}")
     xa = np.asarray(x, dtype=float)
-    if np.any(xa < 0.0) or np.any(xa > 1.0):
+    if not np.all((xa >= 0.0) & (xa <= 1.0)):  # false for NaN too
         raise InvalidInputError("fourier basis is defined on [0, 1]")
     if l == 0:
         out = np.ones_like(xa)

@@ -23,10 +23,16 @@ Each statistic has one kernel, working on a batch with one row per sample:
 :func:`composite_scale_stats_batch`.  The single-sample functions evaluate a
 one-row batch, so a decision computes bit for bit the statistic that was
 simulated to calibrate its thresholds.
+
+The piecewise kernels count same-bin pairs from run lengths in one pass over
+a stacked array: all degrees of a block of rows, or every (row, candidate
+ratio) pair of the scale search.  Blocks hold about ``_BLOCK_ELEMENTS``
+observations, so temporaries do not grow with the batch.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -86,6 +92,11 @@ class ScaleSearchPolicy:
     argmin: one coarse cell either side in the first round, then one spacing
     of the previous round either side, so each round is ``refine_factor``
     times finer.  No window leaves the first one.
+
+    The search scores a block of rows at once: the whole coarse grid at every
+    degree, then each round's candidates of every (row, degree) pair.  Its
+    memory is fixed: at most about ``_BLOCK_ELEMENTS`` scaled observations,
+    or one row's ``n * max(coarse_points, degrees * (2 * refine_factor + 1))``.
     """
 
     relative_span: float = 10.0
@@ -106,21 +117,12 @@ class ScaleSearchPolicy:
         return np.exp(np.linspace(-span, span, self.coarse_points))
 
     def to_json(self) -> dict:
-        return {
-            "relative_span": self.relative_span,
-            "coarse_points": self.coarse_points,
-            "refine_rounds": self.refine_rounds,
-            "refine_factor": self.refine_factor,
-        }
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_json(cls, doc: dict) -> "ScaleSearchPolicy":
-        return cls(
-            relative_span=float(doc["relative_span"]),
-            coarse_points=int(doc["coarse_points"]),
-            refine_rounds=int(doc["refine_rounds"]),
-            refine_factor=int(doc["refine_factor"]),
-        )
+        # each field converted to the type of its default
+        return cls(**{k: type(v)(doc[k]) for k, v in dataclasses.asdict(cls()).items()})
 
 
 class ScaleSearchResult(NamedTuple):
@@ -157,11 +159,17 @@ def scale_free_ratios(x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _checked_rows(samples) -> np.ndarray:
-    """The samples as a float (rows, n) matrix, checked finite with n >= 2."""
+#: Elements per block of the stacked kernels (256 KB of float64).  At twice
+#: this, glibc returns each block's freed temporaries to the OS and the next
+#: block faults them back in (a 300 x 100 search ran ~35% slower, x86-64).
+_BLOCK_ELEMENTS = 1 << 15
+
+
+def _checked_rows(samples, min_n: int = 2) -> np.ndarray:
+    """The samples as a float (rows, n) matrix, checked finite with n >= min_n."""
     x = np.asarray(samples, dtype=float)
-    if x.shape[-1] < 2:
-        raise InsufficientSampleError(f"need at least 2 observations, got {x.shape[-1]}")
+    if x.shape[-1] < min_n:
+        raise InsufficientSampleError(f"need at least {min_n} observations, got {x.shape[-1]}")
     if not np.all(np.isfinite(x)):
         raise InvalidInputError("sample contains non-finite observations")
     return x
@@ -172,66 +180,61 @@ def _row(sample) -> np.ndarray:
     return np.asarray(sample, dtype=float).reshape(1, -1)
 
 
-def _upper_edge(d: NullDensity) -> float | None:
-    hi = d.support[1]
-    return hi if math.isfinite(hi) else None
+def _row_blocks(rows: int, width: int) -> list[slice]:
+    """Row slices of about ``_BLOCK_ELEMENTS`` elements (at least one row)."""
+    step = max(1, _BLOCK_ELEMENTS // width)
+    return [slice(start, start + step) for start in range(0, rows, step)]
 
 
-def _rowwise_pair_counts(k_sorted: np.ndarray) -> np.ndarray:
-    """Same-bin unordered pairs per row of a row-sorted integer matrix.
+def _piecewise_theta(bins: np.ndarray, degree) -> np.ndarray:
+    """``theta_hat`` per row (last axis) of sorted bins ``floor(degree * z)``;
+    ``degree`` broadcasts against ``bins.shape[:-1]``.
 
-    Works in place on one run-length buffer: a fresh temporary per step
-    costs a page-faulting allocation per call at calibration batch sizes.
+    A row's same-bin pairs are ``sum L (L - 1) / 2`` over its runs of equal
+    bins, read off one run-start mask that is true at every row start.
     """
-    b, n = k_sorted.shape
-    if n < 2:
-        return np.zeros(b, dtype=np.int64)
-    idx = np.arange(1, n)
-    run = np.where(k_sorted[:, 1:] == k_sorted[:, :-1], 0, idx)
-    np.maximum.accumulate(run, axis=1, out=run)  # where each element's run starts
-    np.subtract(idx, run, out=run)  # earlier elements of the same run
-    return run.sum(axis=1)
-
-
-def _piecewise_theta(z: np.ndarray, degree: int, upper: float | None = None) -> np.ndarray:
-    """``theta_hat`` of the piecewise model per row of a row-sorted matrix.
-
-    ``upper`` activates the bounded-support convention: an observation
-    exactly at that value is clamped into the last interior bin.
-    """
-    k = np.floor(degree * z).astype(np.int64)
-    if upper is not None:
-        k[z == upper] = int(math.floor(degree * upper)) - 1
-    n = z.shape[1]
-    return degree * (2.0 * _rowwise_pair_counts(k)) / (n * (n - 1))
+    n = bins.shape[-1]
+    new_run = np.empty(bins.shape, dtype=bool)
+    new_run[..., 0] = True
+    np.not_equal(bins[..., 1:], bins[..., :-1], out=new_run[..., 1:])
+    starts = np.flatnonzero(new_run)
+    lengths = np.diff(starts, append=bins.size)
+    row_firsts = np.searchsorted(starts, np.arange(0, bins.size, n))
+    pairs = (np.add.reduceat(lengths * (lengths - 1), row_firsts) // 2).reshape(bins.shape[:-1])
+    return degree * (2.0 * pairs) / (n * (n - 1))
 
 
 def _theta_batch(x: np.ndarray, models, upper: float | None) -> np.ndarray:
     """(rows, models) matrix of ``theta_hat`` on a checked, row-sorted batch."""
     b, n = x.shape
     out = np.empty((b, len(models)))
-    max_fourier = max(
-        (m.degree for m in models if m.family is BasisFamily.FOURIER), default=-1
-    )
-    if max_fourier >= 0:
-        cols = np.empty((max_fourier + 1, b))
-        for l in range(max_fourier + 1):
+    piecewise = [c for c, m in enumerate(models) if m.family is BasisFamily.PIECEWISE_CONSTANT]
+    if piecewise:
+        # every piecewise degree in one stacked (degree, row, obs) pass per block
+        degrees = np.array([models[c].degree for c in piecewise])[:, None, None]
+        for blk in _row_blocks(b, n * len(piecewise)):
+            bins = np.floor(degrees * x[blk])
+            if upper is not None:
+                np.copyto(bins, np.floor(degrees * upper) - 1, where=x[blk] == upper)
+            out[blk, piecewise] = _piecewise_theta(bins, degrees[..., 0]).T
+    fourier = [m.degree for m in models if m.family is BasisFamily.FOURIER]
+    if fourier:
+        cols = np.empty((max(fourier) + 1, b))
+        for l in range(len(cols)):
             vals = fourier_eval(l, x)
             S = vals.sum(axis=1)
             Q = (vals * vals).sum(axis=1)
             cols[l] = S * S - Q
         fourier_cums = np.cumsum(cols, axis=0)
-    for col, m in enumerate(models):
-        if m.family is BasisFamily.PIECEWISE_CONSTANT:
-            out[:, col] = _piecewise_theta(x, m.degree, upper)
-        else:
-            out[:, col] = fourier_cums[m.degree] / (n * (n - 1))
+        for col, m in enumerate(models):
+            if m.family is BasisFamily.FOURIER:
+                out[:, col] = fourier_cums[m.degree] / (n * (n - 1))
     return out
 
 
 def _plug_in(z: np.ndarray, d: NullDensity) -> np.ndarray:
-    """Per-row plug-in term ``||f0||^2 - (2/n) sum_i f0(z_i)`` of ``t_hat``."""
-    return d.l2_norm_sq - 2.0 * np.sum(d.pdf(z), axis=1) / z.shape[1]
+    """Per-row (last axis) plug-in term ``||f0||^2 - (2/n) sum_i f0(z_i)`` of ``t_hat``."""
+    return d.l2_norm_sq - 2.0 * np.sum(d.pdf(z), axis=-1) / z.shape[-1]
 
 
 def simple_stats_batch(samples: np.ndarray, models, d: NullDensity) -> np.ndarray:
@@ -241,7 +244,8 @@ def simple_stats_batch(samples: np.ndarray, models, d: NullDensity) -> np.ndarra
     under permutation of its sample.
     """
     x = np.sort(_checked_rows(samples), axis=1)
-    return _theta_batch(x, models, _upper_edge(d)) + _plug_in(x, d)[:, None]
+    upper = d.support[1] if math.isfinite(d.support[1]) else None
+    return _theta_batch(x, models, upper) + _plug_in(x, d)[:, None]
 
 
 def _scale_search(
@@ -260,45 +264,49 @@ def _scale_search(
     if d.support[0] == 0.0 and np.any(x <= 0.0):
         raise SupportViolationError("all observations must be positive for this null family")
     y = np.sort(scale_free_ratios(x), axis=1)
-
+    degrees = np.array([m.degree for m in models])
     grid = policy.ratios()
-    best = np.full((y.shape[0], len(models)), np.inf)
-    best_idx = np.zeros(best.shape, dtype=np.int64)
-    for j, r in enumerate(grid):
-        z = y * (1.0 / r)
-        offset = _plug_in(z, d)
-        vals = _theta_batch(z, models, None) + offset[:, None]
-        better = vals < best
-        np.copyto(best, vals, where=better)
-        np.copyto(best_idx, j, where=better)
-    best_ratio = grid[best_idx]
-
     log_grid = np.log(grid)
     steps = 2 * policy.refine_factor
-    for col, m in enumerate(models):
-        lo = log_grid[np.maximum(best_idx[:, col] - 1, 0)]
-        hi = log_grid[np.minimum(best_idx[:, col] + 1, grid.size - 1)]
+    fractions = np.arange(steps + 1) / steps
+    best = np.empty((y.shape[0], degrees.size))
+    best_ratio = np.empty_like(best)
+    candidates = max(grid.size, degrees.size * (steps + 1))
+    for blk in _row_blocks(y.shape[0], y.shape[1] * candidates):
+        # every (row, grid ratio) pair at every degree; the first minimum
+        # along the grid is the first candidate evaluated
+        z = y[blk, None, :] * (1.0 / grid)[:, None]
+        vals = np.repeat(_plug_in(z, d)[..., None], degrees.size, axis=2)
+        bins = np.empty_like(z)
+        for col, degree in enumerate(degrees.tolist()):
+            np.floor(np.multiply(degree, z, out=bins), out=bins)
+            vals[..., col] += _piecewise_theta(bins, degree)
+        j = vals.argmin(axis=1)
+        best[blk] = np.take_along_axis(vals, j[:, None, :], axis=1)[:, 0]
+        best_ratio[blk] = grid[j]
+        lo = log_grid[np.maximum(j - 1, 0)]
+        hi = log_grid[np.minimum(j + 1, grid.size - 1)]
         cur_lo, cur_hi = lo, hi
         for _ in range(policy.refine_rounds):
-            for t in range(steps + 1):
-                r = np.exp(cur_lo + (cur_hi - cur_lo) * (t / steps))
-                z = y / r[:, None]
-                vals = _piecewise_theta(z, m.degree) + _plug_in(z, d)
-                better = vals < best[:, col]
-                np.copyto(best[:, col], vals, where=better)
-                np.copyto(best_ratio[:, col], r, where=better)
+            # every candidate of every (row, degree) pair, each at its degree
+            r = np.exp(cur_lo[..., None] + (cur_hi - cur_lo)[..., None] * fractions)
+            z = y[blk, None, None, :] / r[..., None]
+            vals = _piecewise_theta(np.floor(degrees[:, None, None] * z), degrees[:, None])
+            vals += _plug_in(z, d)
+            t = vals.argmin(axis=2)[..., None]
+            lowest = np.take_along_axis(vals, t, axis=2)[..., 0]
+            better = lowest < best[blk]
+            np.copyto(best[blk], lowest, where=better)
+            np.copyto(best_ratio[blk], np.take_along_axis(r, t, axis=2)[..., 0], where=better)
             width = (cur_hi - cur_lo) / steps
-            centre = np.log(best_ratio[:, col])
+            centre = np.log(best_ratio[blk])
             cur_lo = np.maximum(centre - width, lo)
             cur_hi = np.minimum(centre + width, hi)
     return best, best_ratio
 
 
 def composite_scale_stats_batch(
-    samples: np.ndarray,
-    models,
-    d: NullDensity,
-    policy: ScaleSearchPolicy,
+    samples: np.ndarray, models, d: NullDensity, policy: ScaleSearchPolicy
 ) -> np.ndarray:
     """Matrix of ``t_tilde_scale`` values across replicates.
 

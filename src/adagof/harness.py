@@ -8,6 +8,7 @@ counting, so reports are byte-identical for any worker count.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import time
@@ -31,7 +32,7 @@ from .baselines import (
 )
 from .bases import BasisFamily
 from .calibration import CalibrationTable, StatisticKind, calibrate
-from .errors import CalibrationMissingError, InvalidInputError
+from .errors import CalibrationMissingError, InvalidInputError, TableMismatchError
 from .estimators import (
     ModelIndex,
     ScaleSearchPolicy,
@@ -126,16 +127,11 @@ class ModelParams:
 
     @classmethod
     def from_json(cls, doc: dict) -> "ModelParams":
-        policy = None
-        if doc.get("policy"):
-            policy = ScaleSearchPolicy.from_json(doc["policy"])
-        d_range = tuple(doc["d_range"]) if doc.get("d_range") else None
+        d_range, policy = doc.get("d_range"), doc.get("policy")
         return cls(
-            d_tr=doc.get("d_tr"),
-            d_ct=doc.get("d_ct"),
-            d_range=d_range,
-            d_of_n=doc.get("d_of_n"),
-            policy=policy,
+            d_tr=doc.get("d_tr"), d_ct=doc.get("d_ct"), d_of_n=doc.get("d_of_n"),
+            d_range=tuple(d_range) if d_range else None,
+            policy=ScaleSearchPolicy.from_json(policy) if policy else None,
         )
 
 
@@ -334,23 +330,32 @@ def _cached_baseline(
     return calibrate_baseline(kind, n, alpha, B, seed, d_of_n)
 
 
-def _adaptive_table_spec(config: ExperimentConfig) -> tuple[str, list[ModelIndex], StatisticKind]:
-    """Null spec, model collection and statistic of an adaptive test's table."""
+def _adaptive_table_spec(
+    config: ExperimentConfig,
+) -> tuple[str, list[ModelIndex], StatisticKind, ScaleSearchPolicy | None]:
+    """Null spec, models, statistic and search policy (composite only) of an
+    adaptive test's table."""
     null_spec, models, kind = _ADAPTIVE[config.test]
-    return null_spec or config.null, models(config.model_params), kind
+    policy = None
+    if kind is StatisticKind.COMPOSITE_INVARIANT:
+        policy = config.model_params.policy or ScaleSearchPolicy()
+    return null_spec or config.null, models(config.model_params), kind, policy
 
 
 def _calibrate_hint(config: ExperimentConfig) -> str:
-    null, models, kind = _adaptive_table_spec(config)
+    null, models, kind, policy = _adaptive_table_spec(config)
     degrees: dict[str, list[int]] = {}
     for m in models:
         degrees.setdefault(m.family.value, []).append(m.degree)
     spec = ",".join(f"{family}:{min(ds)}-{max(ds)}" for family, ds in degrees.items())
     stat = "composite" if kind is StatisticKind.COMPOSITE_INVARIANT else "simple"
-    return (
+    hint = (
         f"adagof calibrate --null '{null}' --models '{spec}' --n {config.n} "
         f"--alpha {config.alpha} --statistic {stat} --seed {config.seed}"
     )
+    if policy is not None and config.model_params.policy is not None:
+        hint += " --policy " + ",".join(repr(v) for v in dataclasses.astuple(policy))
+    return hint
 
 
 def build_column(
@@ -371,6 +376,9 @@ def build_column(
                     + _calibrate_hint(config)
                 )
             calibration = _table_for_kind(config, workers)
+        policy = _adaptive_table_spec(config)[3]
+        if policy is not None and calibration.policy != policy:
+            raise TableMismatchError(f"table policy {calibration.policy} is not {policy}")
         return TestColumn(name, config.test, table=calibration)
     d_of_n = mp.d_of_n
     baseline_kind = {
@@ -384,10 +392,7 @@ def build_column(
 
 
 def _table_for_kind(config: ExperimentConfig, workers: int) -> CalibrationTable:
-    null, models, kind = _adaptive_table_spec(config)
-    policy = None
-    if kind is StatisticKind.COMPOSITE_INVARIANT:
-        policy = config.model_params.policy or ScaleSearchPolicy()
+    null, models, kind, policy = _adaptive_table_spec(config)
     B1, B2 = config.calib
     return _cached_calibrate(
         null_from_spec(null), tuple(models),

@@ -204,3 +204,20 @@ class TestCalibrateBaseline:
             stats = kallenberg_ledwina_statistic_batch(samples, cfg.d_of_n)[1]
         level = (stats > cfg.critical_value).mean()
         assert abs(level - 0.05) < 0.02
+
+
+_ENTRY_POINTS = {
+    "ks_statistic": lambda x: ks_statistic(x, Uniform01()),
+    "ks_exponential_statistic": ks_exponential_statistic,
+    "bickel_ritov_statistic": lambda x: bickel_ritov_statistic(x, 6),
+    "kallenberg_ledwina_test": lambda x: kallenberg_ledwina_test(x, 6, 1.0),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+def test_non_finite_observation_raises(entry, bad):
+    x = np.linspace(0.05, 0.95, 30)
+    x[7] = bad
+    with pytest.raises(InvalidInputError):
+        _ENTRY_POINTS[entry](x)

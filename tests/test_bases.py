@@ -124,6 +124,16 @@ class TestBasisSums:
         with pytest.raises(InvalidInputError):
             basis_sums(np.array([0.5, 1.5]), BasisFamily.FOURIER, 2)
 
+    @pytest.mark.parametrize("family", list(BasisFamily))
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_observation_raises(self, family, bad):
+        x = np.linspace(0.05, 0.95, 30)
+        x[7] = bad
+        with pytest.raises(InvalidInputError):
+            basis_sums(x, family, 2)
+        with pytest.raises(InvalidInputError):
+            fourier_eval(1, x)
+
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(1, 60))
     def test_matches_naive_pointwise_sums(self, seed, D, n):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adagof import estimators
 from adagof.bases import BasisFamily
 from adagof.errors import (
     AdagofError,
@@ -15,6 +16,7 @@ from adagof.errors import (
 from adagof.estimators import (
     ModelIndex,
     ScaleSearchPolicy,
+    _scale_search,
     composite_scale_stats_batch,
     pinned_order,
     scale_free_ratios,
@@ -125,6 +127,31 @@ def _reference_scale_search(x, m, d, policy):
     return best, best_ratio
 
 
+def _search_block_rows(n, models, policy):
+    """Rows the scale search puts in one block at sample size ``n``."""
+    width = n * max(policy.coarse_points, len(models) * (2 * policy.refine_factor + 1))
+    return max(1, estimators._BLOCK_ELEMENTS // width)
+
+
+def _search_samples(kind, rows, n, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "exponential":
+        return rng.exponential(size=(rows, n))
+    if kind == "rounded":  # tied ratios
+        return np.maximum(np.round(rng.exponential(size=(rows, n)), 1), 0.1)
+    return rng.lognormal(0.0, 3.0, size=(rows, n))  # one point can carry most of the mean
+
+
+_SEARCH_POLICIES = {
+    "default": ScaleSearchPolicy(),
+    "rounds0": ScaleSearchPolicy(refine_rounds=0),
+    "rounds2": ScaleSearchPolicy(refine_rounds=2),
+    "rounds3": ScaleSearchPolicy(refine_rounds=3),
+    "points33": ScaleSearchPolicy(coarse_points=33),
+    "span4": ScaleSearchPolicy(relative_span=4.0),
+}
+
+
 @pytest.fixture(scope="module")
 def exp_sample():
     return Exponential().sample(500, derive_stream(42, "scale-search", 0))
@@ -216,6 +243,57 @@ class TestScaleSearch:
         for k, x in enumerate(samples):
             for c, m in enumerate(models):
                 assert batch[k, c] == _reference_scale_search(x, m, d, policy)[0], (k, m)
+
+    @pytest.mark.parametrize("policy", sorted(_SEARCH_POLICIES))
+    @pytest.mark.parametrize("kind", ["exponential", "rounded", "lognormal"])
+    def test_blocked_batches_match_reference_search(self, kind, policy):
+        # batches ending inside, at and one row past a block boundary
+        d, policy = Exponential(), _SEARCH_POLICIES[policy]
+        models = [ModelIndex(PW, D) for D in (2, 5, 10)]
+        n = 20
+        block = _search_block_rows(n, models, policy)
+        samples = _search_samples(kind, block + 1, n, seed=len(kind) * 31 + block)
+        expected = [[_reference_scale_search(x, m, d, policy) for m in models] for x in samples]
+        for rows in sorted({1, max(block - 1, 1), block, block + 1}):
+            values, ratios = _scale_search(samples[:rows], models, d, policy)
+            for k in range(rows):
+                for c, m in enumerate(models):
+                    assert (values[k, c], ratios[k, c]) == expected[k][c], (rows, k, m)
+
+    @pytest.mark.parametrize("policy", ["default", "rounds3"])
+    def test_two_observations_match_reference_search(self, policy):
+        d, policy = Exponential(), _SEARCH_POLICIES[policy]
+        models = [ModelIndex(PW, D) for D in (1, 2, 7)]
+        samples = np.concatenate(
+            [_search_samples(kind, 3, 2, seed=5) for kind in ("exponential", "rounded", "lognormal")]
+        )
+        values, ratios = _scale_search(samples, models, d, policy)
+        for k, x in enumerate(samples):
+            for c, m in enumerate(models):
+                assert (values[k, c], ratios[k, c]) == _reference_scale_search(x, m, d, policy)
+
+    @pytest.mark.parametrize("policy", ["default", "rounds2"])
+    def test_ties_keep_the_first_candidate(self, policy):
+        # the uniform density is flat, so t_hat ties across many ratios
+        d, policy = Uniform01(), _SEARCH_POLICIES[policy]
+        models = [ModelIndex(PW, D) for D in (2, 5, 10)]
+        samples = _search_samples("exponential", 6, 20, seed=1)
+        values, ratios = _scale_search(samples, models, d, policy)
+        for k, x in enumerate(samples):
+            for c, m in enumerate(models):
+                assert (values[k, c], ratios[k, c]) == _reference_scale_search(x, m, d, policy)
+
+    def test_rows_are_searched_independently(self):
+        d, policy = Exponential(), ScaleSearchPolicy()
+        models = [ModelIndex(PW, D) for D in range(2, 11)]
+        samples = np.concatenate(
+            [_search_samples(kind, 234, 50, seed=9) for kind in ("exponential", "rounded", "lognormal")]
+        )[:700]
+        values, ratios = _scale_search(samples, models, d, policy)
+        for k, x in enumerate(samples):
+            one_values, one_ratios = _scale_search(x[None, :], models, d, policy)
+            np.testing.assert_array_equal(values[k], one_values[0])
+            np.testing.assert_array_equal(ratios[k], one_ratios[0])
 
     def test_single_observation_raises(self):
         m, d = ModelIndex(PW, 3), Exponential()

@@ -1,11 +1,14 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from adagof.calibration import calibrate
+from adagof.calibration import StatisticKind, calibrate
+from adagof.cli import _parse_policy
 from adagof.cli import main as cli_main
-from adagof.errors import CalibrationMissingError
+from adagof.errors import CalibrationMissingError, TableMismatchError
+from adagof.estimators import ScaleSearchPolicy
 from adagof.harness import (
     ExperimentConfig,
     ModelParams,
@@ -16,9 +19,10 @@ from adagof.harness import (
     estimate_power,
     rejection_counts,
     reproduce_table,
+    scale_models,
     trigonometric_models,
 )
-from adagof.null_models import Uniform01
+from adagof.null_models import Exponential, Uniform01
 
 
 class TestDeriveStream:
@@ -80,6 +84,35 @@ class TestEstimatePower:
         with pytest.raises(CalibrationMissingError) as err:
             build_column(config)
         assert f"adagof calibrate {expected} --seed 0" in str(err.value)
+
+    def test_missing_calibration_hint_carries_the_search_policy(self):
+        policy = ScaleSearchPolicy(coarse_points=33)
+        config = ExperimentConfig(
+            test=TestKind.COMPOSITE, null="exponential", n=30,
+            model_params=ModelParams(policy=policy), calib=(600, 600),
+        )
+        with pytest.raises(CalibrationMissingError) as err:
+            build_column(config)
+        hint = str(err.value)
+        assert hint.endswith("--seed 0 --policy 10.0,33,1,8")
+        assert _parse_policy(hint.rsplit("--policy ", 1)[1]) == policy
+
+    def test_supplied_table_must_carry_the_configured_policy(self):
+        table = calibrate(
+            Exponential(), scale_models(2, 4), n=20, alpha=0.1, B1=100, B2=100,
+            statistic_kind=StatisticKind.COMPOSITE_INVARIANT, seed=3,
+        )
+        params = ModelParams(d_range=(2, 4))
+        config = ExperimentConfig(
+            test=TestKind.COMPOSITE, null="exponential", n=20, alpha=0.1,
+            model_params=params, calib=(100, 100), seed=3,
+        )
+        assert build_column(config, calibration=table).table is table
+        other = dataclasses.replace(
+            config, model_params=dataclasses.replace(params, policy=ScaleSearchPolicy(coarse_points=33))
+        )
+        with pytest.raises(TableMismatchError):
+            build_column(other, calibration=table)
 
     def test_power_at_null_equals_level(self, tiny_table):
         config = ExperimentConfig(
