@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 from scipy import special
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, parse_fields
 from .null_models import NullDensity
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -525,51 +525,30 @@ def weibull_alt() -> AlternativeSpec:
 # ---------------------------------------------------------------------------
 
 
-def _parse_floats(text: str, count: int, what: str) -> list[float]:
-    parts = text.split(",")
-    if len(parts) != count:
-        raise InvalidInputError(f"{what} takes {count} comma-separated parameters")
-    return [float(p) for p in parts]
+# Id prefix -> (constructor, parameter types).  Integer parameters take
+# integer literals only.
+_CATALOG = {
+    "f": (cosine_contamination, (float, int)),
+    "g": (beta_mixture, (float, float, float)),
+    "h": (legendre_contamination, (float, int)),
+    "norm:f": (uniform_box, (float,)),
+    "norm:g": (gaussian_location_mixture, (float, float)),
+    "norm:h": (double_exponential, (float,)),
+    "exp:g": (exp_sine_bump, (int,)),
+    "exp:h": (exp_cosine_bump, (int,)),
+    "exp:k": (exp_beta_mixture, (float, float, float)),
+    "exp:l": (exp_gamma_mixture, (float, float, float)),
+    "exp:t": (lognormal_alt, ()),
+    "exp:v": (chi2_three_alt, ()),
+    "exp:w": (weibull_alt, ()),
+}
 
 
 def from_id(alt_id: str) -> AlternativeSpec:
     """Resolve a catalog id like ``f:0.5,2`` or ``exp:l:2,5,0.75``."""
-    s = alt_id.strip()
-    if s == "exp:t":
-        return lognormal_alt()
-    if s == "exp:v":
-        return chi2_three_alt()
-    if s == "exp:w":
-        return weibull_alt()
-    head, _, rest = s.partition(":")
-    if head == "f":
-        rho, j = _parse_floats(rest, 2, "f")
-        return cosine_contamination(rho, int(j))
-    if head == "g":
-        p, q, eps = _parse_floats(rest, 3, "g")
-        return beta_mixture(p, q, eps)
-    if head == "h":
-        rho, j = _parse_floats(rest, 2, "h")
-        return legendre_contamination(rho, int(j))
-    if head == "norm":
-        sub, _, params = rest.partition(":")
-        if sub == "f":
-            return uniform_box(float(params))
-        if sub == "g":
-            m, var = _parse_floats(params, 2, "norm:g")
-            return gaussian_location_mixture(m, var)
-        if sub == "h":
-            return double_exponential(float(params))
-    if head == "exp":
-        sub, _, params = rest.partition(":")
-        if sub == "g":
-            return exp_sine_bump(int(params))
-        if sub == "h":
-            return exp_cosine_bump(int(params))
-        if sub == "k":
-            p, q, eps = _parse_floats(params, 3, "exp:k")
-            return exp_beta_mixture(p, q, eps)
-        if sub == "l":
-            p, q, eps = _parse_floats(params, 3, "exp:l")
-            return exp_gamma_mixture(p, q, eps)
-    raise InvalidInputError(f"unknown alternative id {alt_id!r}")
+    s = str(alt_id).strip()
+    prefix, params = (s, "") if s in _CATALOG else s.rpartition(":")[::2]
+    if prefix not in _CATALOG:
+        raise InvalidInputError(f"unknown alternative id {alt_id!r}")
+    make, types = _CATALOG[prefix]
+    return make(*parse_fields(params, types, f"alternative {prefix!r}"))

@@ -16,10 +16,13 @@ from enum import Enum
 
 import numpy as np
 
+from .calibration import draw_samples, threshold_matrix
 from .errors import BudgetTooSmallError, InvalidInputError, SupportViolationError
 from .estimators import _checked_rows, _row, scale_free_ratios
 from .null_models import Exponential, NullDensity, Uniform01
-from .streams import derive_stream
+
+# Imported only so that perfbench/tracing.py can wrap it at this import site.
+from .streams import derive_stream  # noqa: F401
 
 
 class BaselineKind(Enum):
@@ -176,7 +179,9 @@ def kallenberg_ledwina_test(
     return int(selected[0]), stat, stat > critical_value
 
 
-def _null_statistics(kind: BaselineKind, samples: np.ndarray, d_of_n: int | None) -> np.ndarray:
+def baseline_statistics(kind: BaselineKind, samples: np.ndarray, d_of_n: int | None) -> np.ndarray:
+    """One statistic per row of ``samples`` for the given baseline: the
+    critical value is simulated through it and the harness decides with it."""
     if kind is BaselineKind.KS:
         return ks_statistic_batch(samples, Uniform01())
     if kind is BaselineKind.KS_EXPONENTIAL:
@@ -206,18 +211,9 @@ def calibrate_baseline(
     if kind in (BaselineKind.BICKEL_RITOV, BaselineKind.KALLENBERG_LEDWINA) and d_of_n is None:
         d_of_n = default_dimension(n)
     null = Exponential() if kind is BaselineKind.KS_EXPONENTIAL else Uniform01()
-    label = f"baseline:{kind.value}"
-    samples = np.empty((B, n))
-    for r in range(B):
-        samples[r] = null.sample(n, derive_stream(seed, label, r))
-    stats = np.sort(_null_statistics(kind, samples, d_of_n))
-    crit = float(stats[math.ceil((1.0 - alpha) * B) - 1])
+    samples = draw_samples(null.sample, n, seed, f"baseline:{kind.value}", 0, B)
+    stats = baseline_statistics(kind, samples, d_of_n)
+    crit = float(threshold_matrix(stats[:, None], np.array([alpha]))[0, 0])
     return BaselineConfig(
-        kind=kind,
-        alpha=alpha,
-        critical_value=crit,
-        n=n,
-        d_of_n=d_of_n,
-        budget=B,
-        seed=seed,
+        kind=kind, alpha=alpha, critical_value=crit, n=n, d_of_n=d_of_n, budget=B, seed=seed
     )

@@ -25,6 +25,7 @@ from .errors import (
     BudgetTooSmallError,
     CalibrationFailureError,
     InvalidInputError,
+    invalid_input,
 )
 from .estimators import (
     ModelIndex,
@@ -45,11 +46,39 @@ class StatisticKind(Enum):
     COMPOSITE_INVARIANT = "composite_invariant"
 
 
-def _compute_stats_chunk(payload) -> np.ndarray:
-    d, models, n, kind, policy, seed, label, start, stop = payload
+def draw_samples(sample, n: int, seed: int, label: str, start: int, stop: int) -> np.ndarray:
+    """Replicates ``start .. stop - 1`` of one labelled batch, one per row.
+
+    Row ``i`` is ``sample(n, stream)`` on the stream derived from ``(seed,
+    label, start + i)``.  This is the package's only draw loop: null
+    thresholds, baseline critical values and power replicates all come
+    through it.
+    """
     samples = np.empty((stop - start, n))
     for i, r in enumerate(range(start, stop)):
-        samples[i] = d.sample(n, derive_stream(seed, label, r))
+        samples[i] = sample(n, derive_stream(seed, label, r))
+    return samples
+
+
+def map_replicates(chunk, args: tuple, reps: int, workers: int = 1) -> list:
+    """``chunk(*args, start, stop)`` on each of at most ``workers`` contiguous
+    ranges splitting ``range(reps)``, results in range order.
+
+    More than one range runs in a process pool.  A chunk's result depends
+    only on its range, so any worker count gives the same parts once joined.
+    """
+    workers = max(1, workers)
+    bounds = np.linspace(0, reps, workers + 1).astype(int)
+    ranges = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
+    if len(ranges) <= 1:
+        return [chunk(*args, a, b) for a, b in ranges]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(chunk, *args, a, b) for a, b in ranges]
+        return [f.result() for f in futures]
+
+
+def _null_stats_chunk(d, models, n, kind, policy, seed, label, start, stop) -> np.ndarray:
+    samples = draw_samples(d.sample, n, seed, label, start, stop)
     if kind is StatisticKind.SIMPLE:
         return simple_stats_batch(samples, models, d)
     return composite_scale_stats_batch(samples, models, d, policy)
@@ -73,19 +102,8 @@ def simulate_null_stats(
     """
     if kind is StatisticKind.COMPOSITE_INVARIANT and policy is None:
         raise InvalidInputError("composite calibration requires a scale-search policy")
-    workers = max(1, workers)
-    bounds = np.linspace(0, reps, workers + 1).astype(int)
-    payloads = [
-        (d, models, n, kind, policy, seed, label, int(a), int(b))
-        for a, b in zip(bounds[:-1], bounds[1:])
-        if b > a
-    ]
-    if workers == 1 or len(payloads) == 1:
-        parts = [_compute_stats_chunk(p) for p in payloads]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_compute_stats_chunk, payloads))
-    return np.concatenate(parts, axis=0)
+    args = (d, models, n, kind, policy, seed, label)
+    return np.concatenate(map_replicates(_null_stats_chunk, args, reps, workers), axis=0)
 
 
 def threshold_matrix(stats: np.ndarray, u_grid: np.ndarray) -> np.ndarray:
@@ -176,10 +194,8 @@ def select_u_alpha(
 
 
 def _basis_family(name: str) -> BasisFamily:
-    try:
+    with invalid_input("unknown basis family"):
         return BasisFamily(name)
-    except ValueError:
-        raise InvalidInputError(f"unknown basis family {name!r} in calibration table") from None
 
 
 @dataclass(frozen=True)
@@ -199,6 +215,21 @@ class CalibrationTable:
     budgets: tuple[int, int]
     seed: int
     policy: ScaleSearchPolicy | None = None
+
+    def __post_init__(self) -> None:
+        u = _validate_u_grid(self.u_grid)
+        if self.thresholds.shape != (len(self.models), u.size):
+            raise InvalidInputError(
+                f"thresholds must hold {len(self.models)} models x {u.size} grid points,"
+                f" got shape {self.thresholds.shape}"
+            )
+        if np.any(np.diff(self.thresholds, axis=1) > 0.0):
+            raise InvalidInputError("threshold rows must not increase in u")
+        on_grid = np.nonzero(u == self.u_alpha)[0]
+        if on_grid.size == 0:
+            raise InvalidInputError(f"u_alpha {self.u_alpha!r} is not on the u grid")
+        if not np.array_equal(self.thresholds_at_u_alpha, self.thresholds[:, on_grid[0]]):
+            raise InvalidInputError("thresholds_at_u_alpha is not the u_alpha column of thresholds")
 
     def to_json(self) -> dict:
         doc = {
@@ -222,42 +253,37 @@ class CalibrationTable:
 
     @classmethod
     def from_json(cls, doc: dict) -> "CalibrationTable":
-        if doc.get("schema_version") != SCHEMA_VERSION:
-            raise InvalidInputError(
-                f"unsupported calibration table schema: {doc.get('schema_version')!r}"
+        with invalid_input("calibration table"):
+            if doc["schema_version"] != SCHEMA_VERSION:
+                raise InvalidInputError(f"unsupported schema {doc['schema_version']!r}")
+            models = tuple(
+                ModelIndex(_basis_family(m["family"]), int(m["degree"])) for m in doc["models"]
             )
-        models = tuple(
-            ModelIndex(_basis_family(m["family"]), int(m["degree"])) for m in doc["models"]
-        )
-        u_grid = np.asarray(doc["u_grid"], dtype=float)
-        thresholds = np.asarray(doc["thresholds"], dtype=float).reshape(
-            len(models), u_grid.size
-        )
-        policy = None
-        if "policy" in doc:
-            policy = ScaleSearchPolicy.from_json(doc["policy"])
-        return cls(
-            statistic_kind=StatisticKind(doc["statistic_kind"]),
-            null=null_from_json(doc["null"]),
-            n=int(doc["n"]),
-            alpha=float(doc["alpha"]),
-            models=models,
-            u_grid=u_grid,
-            thresholds=thresholds,
-            u_alpha=float(doc["u_alpha"]),
-            thresholds_at_u_alpha=np.asarray(doc["thresholds_at_u_alpha"], dtype=float),
-            level_curve=np.asarray(doc["level_curve"], dtype=float),
-            budgets=(int(doc["budgets"][0]), int(doc["budgets"][1])),
-            seed=int(doc["seed"]),
-            policy=policy,
-        )
+            return cls(
+                statistic_kind=StatisticKind(doc["statistic_kind"]),
+                null=null_from_json(doc["null"]),
+                n=int(doc["n"]),
+                alpha=float(doc["alpha"]),
+                models=models,
+                u_grid=np.asarray(doc["u_grid"], dtype=float),
+                thresholds=np.asarray(doc["thresholds"], dtype=float).reshape(len(models), -1),
+                u_alpha=float(doc["u_alpha"]),
+                thresholds_at_u_alpha=np.asarray(doc["thresholds_at_u_alpha"], dtype=float),
+                level_curve=np.asarray(doc["level_curve"], dtype=float),
+                budgets=(int(doc["budgets"][0]), int(doc["budgets"][1])),
+                seed=int(doc["seed"]),
+                policy=ScaleSearchPolicy.from_json(doc["policy"]) if "policy" in doc else None,
+            )
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_json(), indent=1), encoding="utf-8")
+        with invalid_input(f"cannot write calibration table {str(path)!r}"):
+            Path(path).write_text(json.dumps(self.to_json(), indent=1), encoding="utf-8")
 
     @classmethod
     def load(cls, path: str | Path) -> "CalibrationTable":
-        return cls.from_json(json.loads(Path(path).read_text(encoding="utf-8")))
+        with invalid_input(f"cannot read calibration table {str(path)!r}"):
+            doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        return cls.from_json(doc)
 
 
 def calibrate(

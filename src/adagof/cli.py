@@ -17,15 +17,12 @@ from pathlib import Path
 import numpy as np
 
 from .adaptive_test import run_composite_invariant_test, run_simple_test
-from .bases import BasisFamily
-from .calibration import CalibrationTable, StatisticKind, calibrate
-from .errors import AdagofError, InvalidInputError
+from .calibration import CalibrationTable, StatisticKind, _basis_family, calibrate
+from .errors import AdagofError, InvalidInputError, invalid_input, parse_fields
 from .estimators import ModelIndex, ScaleSearchPolicy
 from .harness import ExperimentConfig, estimate_power, reproduce_table
 from .null_models import null_from_spec
 from .selfcheck import run_selfcheck
-
-_FAMILIES = {"piecewise": BasisFamily.PIECEWISE_CONSTANT, "fourier": BasisFamily.FOURIER}
 
 
 def parse_models(spec: str) -> list[ModelIndex]:
@@ -33,13 +30,12 @@ def parse_models(spec: str) -> list[ModelIndex]:
     models = []
     for part in spec.split(","):
         name, _, rng = part.strip().partition(":")
-        if name not in _FAMILIES:
-            raise InvalidInputError(f"unknown basis family {name!r} in {spec!r}")
+        family = _basis_family(name)
         lo_s, _, hi_s = rng.partition("-")
-        lo = int(lo_s)
-        hi = int(hi_s) if hi_s else lo
-        for d in range(lo, hi + 1):
-            models.append(ModelIndex(_FAMILIES[name], d))
+        with invalid_input(f"degree range {rng!r} in {spec!r}"):
+            lo = int(lo_s)
+            hi = int(hi_s) if hi_s else lo
+        models.extend(ModelIndex(family, d) for d in range(lo, hi + 1))
     if not models:
         raise InvalidInputError(f"empty model collection spec {spec!r}")
     return models
@@ -48,8 +44,13 @@ def parse_models(spec: str) -> list[ModelIndex]:
 def _parse_policy(spec: str | None) -> ScaleSearchPolicy | None:
     if spec is None:
         return None
-    span, points, rounds, factor = spec.split(",")
-    return ScaleSearchPolicy(float(span), int(points), int(rounds), int(factor))
+    fields = parse_fields(spec, (float, int, int, int), "--policy SPAN,POINTS,ROUNDS,FACTOR")
+    return ScaleSearchPolicy(*fields)
+
+
+def _write(path: str, text: str) -> None:
+    with invalid_input(f"cannot write {path!r}"):
+        Path(path).write_text(text, encoding="utf-8")
 
 
 def _cmd_calibrate(args) -> int:
@@ -79,10 +80,11 @@ def _cmd_calibrate(args) -> int:
 
 def _cmd_test(args) -> int:
     table = CalibrationTable.load(args.calib)
-    data = np.array(
-        [float(line) for line in Path(args.data).read_text(encoding="utf-8").split()],
-        dtype=float,
-    )
+    with invalid_input(f"data file {args.data!r}"):
+        data = np.array(
+            [float(line) for line in Path(args.data).read_text(encoding="utf-8").split()],
+            dtype=float,
+        )
     if table.statistic_kind is StatisticKind.SIMPLE:
         result = run_simple_test(data, table.null, table)
     else:
@@ -101,7 +103,7 @@ def _cmd_power(args) -> int:
     )
     csv_text = report.to_csv()
     if args.out:
-        Path(args.out).write_text(csv_text, encoding="utf-8")
+        _write(args.out, csv_text)
         print(f"wrote {args.out} ({report.wall_clock_s:.1f}s)")
     else:
         sys.stdout.write(csv_text)
@@ -111,7 +113,7 @@ def _cmd_power(args) -> int:
 def _cmd_table(args) -> int:
     csv_text = reproduce_table(args.table_id, seed=args.seed, scale=args.scale, workers=args.workers)
     if args.out:
-        Path(args.out).write_text(csv_text, encoding="utf-8")
+        _write(args.out, csv_text)
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(csv_text)

@@ -12,7 +12,9 @@ import dataclasses
 import json
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
+
+# Imported only so that perfbench/workloads.py can swap it at this import site.
+from concurrent.futures import ProcessPoolExecutor  # noqa: F401
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -21,34 +23,37 @@ from pathlib import Path
 import numpy as np
 
 from .alternatives import from_id
-from .baselines import (
-    BaselineConfig,
-    BaselineKind,
-    bickel_ritov_statistic_batch,
-    calibrate_baseline,
-    kallenberg_ledwina_statistic_batch,
-    ks_exponential_statistic_batch,
-    ks_statistic_batch,
-)
+from .baselines import BaselineConfig, BaselineKind, baseline_statistics, calibrate_baseline
 from .bases import BasisFamily
-from .calibration import CalibrationTable, StatisticKind, calibrate
-from .errors import CalibrationMissingError, InvalidInputError, TableMismatchError
+from .calibration import (
+    CalibrationTable,
+    StatisticKind,
+    calibrate,
+    draw_samples,
+    map_replicates,
+)
+from .errors import (
+    CalibrationMissingError,
+    InvalidInputError,
+    TableMismatchError,
+    invalid_input,
+)
 from .estimators import (
     ModelIndex,
     ScaleSearchPolicy,
     composite_scale_stats_batch,
     simple_stats_batch,
 )
-from .null_models import (
-    Exponential,
-    Gaussian,
-    NullDensity,
-    Uniform01,
-    null_from_json,
-    null_from_spec,
-    transform_to_uniform,
-)
+from .null_models import NullDensity, null_from_spec, transform_to_uniform
 from .streams import derive_stream
+
+# Imported only so that perfbench/tracing.py can wrap them at this import site.
+from .baselines import (  # noqa: F401
+    bickel_ritov_statistic_batch,
+    kallenberg_ledwina_statistic_batch,
+    ks_exponential_statistic_batch,
+    ks_statistic_batch,
+)
 
 __all__ = [
     "TestKind",
@@ -116,6 +121,14 @@ _ADAPTIVE = {
     ),
 }
 
+# Baseline test -> the baseline it runs.
+_BASELINE = {
+    TestKind.KS: BaselineKind.KS,
+    TestKind.KS_EXP: BaselineKind.KS_EXPONENTIAL,
+    TestKind.BR: BaselineKind.BICKEL_RITOV,
+    TestKind.KL: BaselineKind.KALLENBERG_LEDWINA,
+}
+
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -127,6 +140,8 @@ class ModelParams:
 
     @classmethod
     def from_json(cls, doc: dict) -> "ModelParams":
+        if not isinstance(doc, dict):
+            raise InvalidInputError("model_params must be a JSON object")
         d_range, policy = doc.get("d_range"), doc.get("policy")
         return cls(
             d_tr=doc.get("d_tr"), d_ct=doc.get("d_ct"), d_of_n=doc.get("d_of_n"),
@@ -151,28 +166,35 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha < 1.0:
             raise InvalidInputError(f"alpha must lie in (0, 1), got {self.alpha}")
+        if len(self.calib) != 2:
+            raise InvalidInputError(f"calib takes two budgets (B1, B2), got {self.calib!r}")
         for budget in (self.reps_power, self.reps_level, *self.calib):
             if budget < 100:
                 raise InvalidInputError("all Monte Carlo budgets must be >= 100")
+        for alt_id in self.alternatives:
+            from_id(alt_id)  # a malformed id fails here, not after calibrating
 
     @classmethod
     def from_json(cls, doc: dict) -> "ExperimentConfig":
-        return cls(
-            test=TestKind(doc["test"]),
-            null=doc["null"],
-            n=int(doc["n"]),
-            alpha=float(doc.get("alpha", 0.05)),
-            model_params=ModelParams.from_json(doc.get("model_params", {})),
-            alternatives=tuple(doc.get("alternatives", ())),
-            reps_power=int(doc.get("reps_power", 5000)),
-            reps_level=int(doc.get("reps_level", 20_000)),
-            calib=tuple(doc.get("calib", (20_000, 20_000))),
-            seed=int(doc.get("seed", 0)),
-        )
+        with invalid_input("experiment config"):
+            return cls(
+                test=TestKind(doc["test"]),
+                null=str(doc["null"]),
+                n=int(doc["n"]),
+                alpha=float(doc.get("alpha", 0.05)),
+                model_params=ModelParams.from_json(doc.get("model_params", {})),
+                alternatives=tuple(doc.get("alternatives", ())),
+                reps_power=int(doc.get("reps_power", 5000)),
+                reps_level=int(doc.get("reps_level", 20_000)),
+                calib=tuple(doc.get("calib", (20_000, 20_000))),
+                seed=int(doc.get("seed", 0)),
+            )
 
     @classmethod
     def load(cls, path: str | Path) -> "ExperimentConfig":
-        return cls.from_json(json.loads(Path(path).read_text(encoding="utf-8")))
+        with invalid_input(f"cannot read experiment config {str(path)!r}"):
+            doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        return cls.from_json(doc)
 
 
 @dataclass(frozen=True)
@@ -220,10 +242,6 @@ class PowerReport:
         return "\n".join(lines) + "\n"
 
 
-def _mc_std_error(p_hat: float, reps: int) -> float:
-    return math.sqrt(p_hat * (1.0 - p_hat) / reps)
-
-
 # ---------------------------------------------------------------------------
 # Replicate evaluation
 # ---------------------------------------------------------------------------
@@ -236,37 +254,26 @@ def _column_decisions(col: TestColumn, samples: np.ndarray, null: NullDensity) -
     smooth, and plain KS) act on the null-cdf transform of the data, which
     is the identity when the null itself is uniform.
     """
-    kind = col.kind
-    if kind in (TestKind.TTR, TestKind.TTR_CT, TestKind.KS, TestKind.BR, TestKind.KL):
-        data = transform_to_uniform(null, samples)
+    if col.kind in (TestKind.TTR, TestKind.TTR_CT, TestKind.KS, TestKind.BR, TestKind.KL):
+        samples = transform_to_uniform(null, samples)
+    if col.baseline is not None:
+        b = col.baseline
+        return baseline_statistics(b.kind, samples, b.d_of_n) > b.critical_value
+    table = col.table
+    if table.statistic_kind is StatisticKind.SIMPLE:
+        stats = simple_stats_batch(samples, table.models, table.null)
     else:
-        data = samples
-    if kind in _ADAPTIVE:
-        table = col.table
-        if table.statistic_kind is StatisticKind.SIMPLE:
-            stats = simple_stats_batch(data, table.models, table.null)
-        else:
-            stats = composite_scale_stats_batch(data, table.models, table.null, table.policy)
-        return (stats > table.thresholds_at_u_alpha[None, :]).any(axis=1)
-    if kind is TestKind.KS:
-        return ks_statistic_batch(data, Uniform01()) > col.baseline.critical_value
-    if kind is TestKind.KS_EXP:
-        return ks_exponential_statistic_batch(data) > col.baseline.critical_value
-    if kind is TestKind.BR:
-        stats = bickel_ritov_statistic_batch(data, col.baseline.d_of_n)
-        return stats > col.baseline.critical_value
-    stats = kallenberg_ledwina_statistic_batch(data, col.baseline.d_of_n)[1]
-    return stats > col.baseline.critical_value
+        stats = composite_scale_stats_batch(samples, table.models, table.null, table.policy)
+    return (stats > table.thresholds_at_u_alpha[None, :]).any(axis=1)
 
 
-def _decision_chunk(payload) -> np.ndarray:
-    null_doc, alt_id, n, seed, label, start, stop, columns = payload
-    null = null_from_json(null_doc)
-    spec = from_id(alt_id) if alt_id is not None else None
-    samples = np.empty((stop - start, n))
-    for i, r in enumerate(range(start, stop)):
-        stream = derive_stream(seed, label, r)
-        samples[i] = spec.sampler(stream, n) if spec else null.sample(n, stream)
+def _decision_chunk(null, alt_id, n, columns, seed, label, start, stop) -> np.ndarray:
+    if alt_id is None:
+        sample = null.sample
+    else:
+        sampler = from_id(alt_id).sampler
+        sample = lambda size, stream: sampler(stream, size)  # noqa: E731
+    samples = draw_samples(sample, n, seed, label, start, stop)
     return np.array(
         [int(_column_decisions(col, samples, null).sum()) for col in columns],
         dtype=np.int64,
@@ -284,19 +291,34 @@ def rejection_counts(
     workers: int = 1,
 ) -> np.ndarray:
     """Rejection counts per test column over ``reps`` replicates."""
-    workers = max(1, workers)
-    bounds = np.linspace(0, reps, workers + 1).astype(int)
-    payloads = [
-        (null.to_json(), alt_id, n, seed, label, int(a), int(b), columns)
-        for a, b in zip(bounds[:-1], bounds[1:])
-        if b > a
-    ]
-    if workers == 1 or len(payloads) == 1:
-        parts = [_decision_chunk(p) for p in payloads]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_decision_chunk, payloads))
-    return np.sum(parts, axis=0)
+    args = (null, alt_id, n, columns, seed, label)
+    return np.sum(map_replicates(_decision_chunk, args, reps, workers), axis=0)
+
+
+@dataclass
+class TableCell:
+    null: str
+    section: str
+    alternative: str
+    test: str
+    estimate: float
+    std_error: float
+    reps: int
+
+
+def _run_block(null, rows, columns, n, reps_power, reps_level, seed, workers) -> list[TableCell]:
+    """Cells of one null: each (section, alternative id, display) row at
+    ``reps_power`` replicates, then the level row at ``reps_level``."""
+    runs = [(sec, alt_id, display, reps_power, f"power:{alt_id}") for sec, alt_id, display in rows]
+    runs.append(("level", None, "(null)", reps_level, "level"))
+    cells = []
+    for section, alt_id, display, reps, label in runs:
+        counts = rejection_counts(null, alt_id, n, reps, columns, seed, label, workers)
+        for col, c in zip(columns, counts):
+            p_hat = c / reps
+            std_error = math.sqrt(p_hat * (1.0 - p_hat) / reps)
+            cells.append(TableCell(null.name, section, display, col.name, p_hat, std_error, reps))
+    return cells
 
 
 # ---------------------------------------------------------------------------
@@ -364,40 +386,30 @@ def build_column(
     workers: int = 1,
     build_missing: bool = False,
 ) -> TestColumn:
-    """Assemble the test column for a config, calibrating baselines on demand."""
-    null = null_from_spec(config.null)
-    mp = config.model_params
+    """Assemble the test column for a config, calibrating baselines on demand
+    and, with ``build_missing``, a missing adaptive table too."""
     name = config.test.value
-    if config.test in _ADAPTIVE:
-        if calibration is None:
-            if not build_missing:
-                raise CalibrationMissingError(
-                    f"no calibration table for test '{config.test.value}'; run: "
-                    + _calibrate_hint(config)
-                )
-            calibration = _table_for_kind(config, workers)
-        policy = _adaptive_table_spec(config)[3]
-        if policy is not None and calibration.policy != policy:
-            raise TableMismatchError(f"table policy {calibration.policy} is not {policy}")
-        return TestColumn(name, config.test, table=calibration)
-    d_of_n = mp.d_of_n
-    baseline_kind = {
-        TestKind.KS: BaselineKind.KS,
-        TestKind.KS_EXP: BaselineKind.KS_EXPONENTIAL,
-        TestKind.BR: BaselineKind.BICKEL_RITOV,
-        TestKind.KL: BaselineKind.KALLENBERG_LEDWINA,
-    }[config.test]
-    cfg = _cached_baseline(baseline_kind, config.n, config.alpha, config.calib[0], config.seed, d_of_n)
-    return TestColumn(name, config.test, baseline=cfg)
-
-
-def _table_for_kind(config: ExperimentConfig, workers: int) -> CalibrationTable:
+    if config.test in _BASELINE:
+        cfg = _cached_baseline(
+            _BASELINE[config.test], config.n, config.alpha, config.calib[0], config.seed,
+            config.model_params.d_of_n,
+        )
+        return TestColumn(name, config.test, baseline=cfg)
     null, models, kind, policy = _adaptive_table_spec(config)
-    B1, B2 = config.calib
-    return _cached_calibrate(
-        null_from_spec(null), tuple(models),
-        config.n, config.alpha, B1, B2, kind, config.seed, policy, workers,
-    )
+    if calibration is None:
+        if not build_missing:
+            raise CalibrationMissingError(
+                f"no calibration table for test '{config.test.value}'; run: "
+                + _calibrate_hint(config)
+            )
+        B1, B2 = config.calib
+        calibration = _cached_calibrate(
+            null_from_spec(null), tuple(models),
+            config.n, config.alpha, B1, B2, kind, config.seed, policy, workers,
+        )
+    if policy is not None and calibration.policy != policy:
+        raise TableMismatchError(f"table policy {calibration.policy} is not {policy}")
+    return TestColumn(name, config.test, table=calibration)
 
 
 def estimate_power(
@@ -414,29 +426,14 @@ def estimate_power(
     t0 = time.perf_counter()
     null = null_from_spec(config.null)
     column = build_column(config, calibration, workers, build_missing)
-    entries = []
-    for alt_id in config.alternatives:
-        counts = rejection_counts(
-            null, alt_id, config.n, config.reps_power, [column],
-            config.seed, f"power:{alt_id}", workers,
-        )
-        p_hat = counts[0] / config.reps_power
-        entries.append(
-            PowerEntry(alt_id, p_hat, _mc_std_error(p_hat, config.reps_power), config.reps_power)
-        )
-    level_counts = rejection_counts(
-        null, None, config.n, config.reps_level, [column], config.seed, "level", workers
+    rows = [(None, alt_id, alt_id) for alt_id in config.alternatives]
+    *power, level = _run_block(
+        null, rows, [column], config.n, config.reps_power, config.reps_level, config.seed, workers
     )
-    level = level_counts[0] / config.reps_level
     return PowerReport(
-        test=config.test.value,
-        null=config.null,
-        n=config.n,
-        alpha=config.alpha,
-        entries=entries,
-        level=level,
-        level_std_error=_mc_std_error(level, config.reps_level),
-        reps_level=config.reps_level,
+        test=config.test.value, null=config.null, n=config.n, alpha=config.alpha,
+        entries=[PowerEntry(c.alternative, c.estimate, c.std_error, c.reps) for c in power],
+        level=level.estimate, level_std_error=level.std_error, reps_level=config.reps_level,
         wall_clock_s=time.perf_counter() - t0,
     )
 
@@ -457,21 +454,17 @@ _UNIFORMITY_ROWS = [
     ("h", "h:0.3,5", "h(0.3,5)"),
 ]
 
-_SQRT_PI_HALF = repr(math.sqrt(math.pi / 2.0))
-_H1 = repr(2.0 / math.sqrt(2.0 * math.pi))
-_H2 = repr(1.5 / math.sqrt(2.0 * math.pi))
-_H3 = repr(20.0 / math.sqrt(2.0 * math.pi))
-_H4 = repr(15.0 / math.sqrt(2.0 * math.pi))
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 _NORMALITY_STD_ROWS = [
     ("f", "norm:f:2", "f(2)"),
     ("f", "norm:f:1.8", "f(1.8)"),
-    ("f", f"norm:f:{_SQRT_PI_HALF}", "f(sqrt(pi/2))"),
+    ("f", f"norm:f:{math.sqrt(math.pi / 2.0)!r}", "f(sqrt(pi/2))"),
     ("g", "norm:g:1,1", "g(1,1)"),
     ("g", "norm:g:0.5,2", "g(0.5,2)"),
     ("g", "norm:g:1,2", "g(1,2)"),
-    ("h", f"norm:h:{_H1}", "h(2/sqrt(2pi))"),
-    ("h", f"norm:h:{_H2}", "h(3/(2 sqrt(2pi)))"),
+    ("h", f"norm:h:{2.0 / _SQRT_2PI!r}", "h(2/sqrt(2pi))"),
+    ("h", f"norm:h:{1.5 / _SQRT_2PI!r}", "h(3/(2 sqrt(2pi)))"),
 ]
 
 _NORMALITY_SMALL_ROWS = [
@@ -481,8 +474,8 @@ _NORMALITY_SMALL_ROWS = [
     ("g", "norm:g:0.1,0.01", "g(0.1,0.01)"),
     ("g", "norm:g:0.05,0.015", "g(0.05,0.015)"),
     ("g", "norm:g:0.05,0.02", "g(0.05,0.02)"),
-    ("h", f"norm:h:{_H3}", "h(20/sqrt(2pi))"),
-    ("h", f"norm:h:{_H4}", "h(15/sqrt(2pi))"),
+    ("h", f"norm:h:{20.0 / _SQRT_2PI!r}", "h(20/sqrt(2pi))"),
+    ("h", f"norm:h:{15.0 / _SQRT_2PI!r}", "h(15/sqrt(2pi))"),
 ]
 
 _EXPONENTIALITY_ROWS = [
@@ -507,135 +500,71 @@ def _scaled_budgets(scale: float) -> tuple[int, int, int]:
     return calib, power, level
 
 
+def _uniformity_block(n, d_tr, d_ct, d_of_n):
+    return ("uniform", n, _UNIFORMITY_ROWS, (
+        ("T_tr", TestKind.TTR, ModelParams(d_tr=d_tr)),
+        ("T_tr/ct", TestKind.TTR_CT, ModelParams(d_tr=d_tr, d_ct=d_ct)),
+        ("T_KL", TestKind.KL, ModelParams(d_of_n=d_of_n)),
+        ("T_BR", TestKind.BR, ModelParams(d_of_n=d_of_n)),
+        ("T_KS", TestKind.KS, ModelParams()),
+    ))
+
+
+def _normality_block(null, rows):
+    return (null, 100, rows, (
+        ("T_d", TestKind.TD, ModelParams(d_range=(1, 10))),
+        ("T_tr/ct", TestKind.TTR_CT, ModelParams(d_tr=12, d_ct=10)),
+        ("T_KS", TestKind.KS, ModelParams()),
+    ))
+
+
+# Preset -> blocks of (null spec, n, rows, columns); a column is (display
+# name, test, model parameters) and is built like any configured test.
+_PRESETS = {
+    "T1": [_uniformity_block(50, 6, 6, 10)],
+    "T2": [_uniformity_block(100, 12, 10, 12)],
+    "T3": [
+        _normality_block("gaussian:0,1", _NORMALITY_STD_ROWS),
+        _normality_block("gaussian:0,0.1", _NORMALITY_SMALL_ROWS),
+    ],
+    "T4": [("exponential", 100, _EXPONENTIALITY_ROWS, (
+        ("T_comp", TestKind.COMPOSITE, ModelParams(d_range=(2, 10))),
+        ("T_KS_exp", TestKind.KS_EXP, ModelParams()),
+    ))],
+}
+
+
+def _preset_columns(null, n, columns, alpha, B, seed, workers) -> list[TestColumn]:
+    return [
+        dataclasses.replace(
+            build_column(
+                ExperimentConfig(test, null, n, alpha, params, calib=(B, B), seed=seed),
+                workers=workers, build_missing=True,
+            ),
+            name=name,
+        )
+        for name, test, params in columns
+    ]
+
+
 def _uniformity_columns(n, d_tr, d_ct, d_of_n, alpha, B, seed, workers):
-    t_tr = _cached_calibrate(
-        Uniform01(), tuple(trigonometric_models(d_tr)), n, alpha, B, B,
-        StatisticKind.SIMPLE, seed, None, workers,
-    )
-    t_trct = _cached_calibrate(
-        Uniform01(), tuple(mixed_models(d_tr, d_ct)), n, alpha, B, B,
-        StatisticKind.SIMPLE, seed, None, workers,
-    )
-    return [
-        TestColumn("T_tr", TestKind.TTR, table=t_tr),
-        TestColumn("T_tr/ct", TestKind.TTR_CT, table=t_trct),
-        TestColumn(
-            "T_KL",
-            TestKind.KL,
-            baseline=_cached_baseline(BaselineKind.KALLENBERG_LEDWINA, n, alpha, B, seed, d_of_n),
-        ),
-        TestColumn(
-            "T_BR",
-            TestKind.BR,
-            baseline=_cached_baseline(BaselineKind.BICKEL_RITOV, n, alpha, B, seed, d_of_n),
-        ),
-        TestColumn(
-            "T_KS",
-            TestKind.KS,
-            baseline=_cached_baseline(BaselineKind.KS, n, alpha, B, seed, None),
-        ),
-    ]
-
-
-def _normality_columns(null, alpha, B, seed, workers):
-    n = 100
-    t_d = _cached_calibrate(
-        null, tuple(direct_models(1, 10)), n, alpha, B, B,
-        StatisticKind.SIMPLE, seed, None, workers,
-    )
-    t_trct = _cached_calibrate(
-        Uniform01(), tuple(mixed_models(12, 10)), n, alpha, B, B,
-        StatisticKind.SIMPLE, seed, None, workers,
-    )
-    return [
-        TestColumn("T_d", TestKind.TD, table=t_d),
-        TestColumn("T_tr/ct", TestKind.TTR_CT, table=t_trct),
-        TestColumn(
-            "T_KS",
-            TestKind.KS,
-            baseline=_cached_baseline(BaselineKind.KS, n, alpha, B, seed, None),
-        ),
-    ]
-
-
-def _exponentiality_columns(alpha, B, seed, workers):
-    n = 100
-    table = _cached_calibrate(
-        Exponential(), tuple(scale_models(2, 10)), n, alpha, B, B,
-        StatisticKind.COMPOSITE_INVARIANT, seed, ScaleSearchPolicy(), workers,
-    )
-    return [
-        TestColumn("T_comp", TestKind.COMPOSITE, table=table),
-        TestColumn(
-            "T_KS_exp",
-            TestKind.KS_EXP,
-            baseline=_cached_baseline(BaselineKind.KS_EXPONENTIAL, n, alpha, B, seed, None),
-        ),
-    ]
-
-
-@dataclass
-class TableCell:
-    null: str
-    section: str
-    alternative: str
-    test: str
-    estimate: float
-    std_error: float
-    reps: int
-
-
-def _run_block(null, rows, columns, n, reps_power, reps_level, seed, workers) -> list[TableCell]:
-    cells = []
-    for section, alt_id, display in rows:
-        counts = rejection_counts(
-            null, alt_id, n, reps_power, columns, seed, f"power:{alt_id}", workers
-        )
-        for col, c in zip(columns, counts):
-            p_hat = c / reps_power
-            cells.append(
-                TableCell(
-                    null.name, section, display, col.name,
-                    p_hat, _mc_std_error(p_hat, reps_power), reps_power,
-                )
-            )
-    counts = rejection_counts(null, None, n, reps_level, columns, seed, "level", workers)
-    for col, c in zip(columns, counts):
-        p_hat = c / reps_level
-        cells.append(
-            TableCell(
-                null.name, "level", "(null)", col.name,
-                p_hat, _mc_std_error(p_hat, reps_level), reps_level,
-            )
-        )
-    return cells
+    # Kept only so that perfbench/workloads.py can read a T2 table's
+    # calibrations back; a cache hit right after the table.
+    null, n, _, columns = _uniformity_block(n, d_tr, d_ct, d_of_n)
+    return _preset_columns(null, n, columns, alpha, B, seed, workers)
 
 
 def table_cells(table_id: str, seed: int = 0, scale: float = 1.0, workers: int = 1) -> list[TableCell]:
     """Estimates for every (alternative, test) cell of a benchmark preset."""
     alpha = 0.05
     B, reps_power, reps_level = _scaled_budgets(scale)
-    if table_id == "T1":
-        cols = _uniformity_columns(50, 6, 6, 10, alpha, B, seed, workers)
-        return _run_block(Uniform01(), _UNIFORMITY_ROWS, cols, 50, reps_power, reps_level, seed, workers)
-    if table_id == "T2":
-        cols = _uniformity_columns(100, 12, 10, 12, alpha, B, seed, workers)
-        return _run_block(Uniform01(), _UNIFORMITY_ROWS, cols, 100, reps_power, reps_level, seed, workers)
-    if table_id == "T3":
-        cells = []
-        for null, rows in (
-            (Gaussian(0.0, 1.0), _NORMALITY_STD_ROWS),
-            (Gaussian(0.0, 0.1), _NORMALITY_SMALL_ROWS),
-        ):
-            cols = _normality_columns(null, alpha, B, seed, workers)
-            cells.extend(_run_block(null, rows, cols, 100, reps_power, reps_level, seed, workers))
-        return cells
-    if table_id == "T4":
-        cols = _exponentiality_columns(alpha, B, seed, workers)
-        return _run_block(
-            Exponential(), _EXPONENTIALITY_ROWS, cols, 100, reps_power, reps_level, seed, workers
-        )
-    raise InvalidInputError(f"unknown table id {table_id!r}; expected T1, T2, T3 or T4")
+    if table_id not in _PRESETS:
+        raise InvalidInputError(f"unknown table id {table_id!r}; expected T1, T2, T3 or T4")
+    cells = []
+    for null, n, rows, columns in _PRESETS[table_id]:
+        cols = _preset_columns(null, n, columns, alpha, B, seed, workers)
+        cells += _run_block(null_from_spec(null), rows, cols, n, reps_power, reps_level, seed, workers)
+    return cells
 
 
 def reproduce_table(

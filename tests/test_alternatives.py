@@ -198,3 +198,22 @@ def test_ids_roundtrip_for_constructors():
     assert from_id("exp:h:1").params == exp_cosine_bump(1).params
     assert from_id("exp:t").id == lognormal_alt().id
     assert from_id("exp:w").id == weibull_alt().id
+
+
+@pytest.mark.parametrize(
+    "alt_id",
+    ["f:abc,2", "exp:g:4.5", "norm:f:x", "f:0.5,2.7"],
+)
+def test_from_id_rejects_malformed_parameters(alt_id):
+    # integer parameters parse as integers: f:0.5,2.7 is not silently j=2
+    with pytest.raises(InvalidInputError):
+        from_id(alt_id)
+
+
+def test_every_preset_row_resolves():
+    from adagof.harness import _PRESETS
+
+    ids = [alt_id for blocks in _PRESETS.values() for _, _, rows, _ in blocks for _, alt_id, _ in rows]
+    assert len(ids) == 2 * 9 + 8 + 8 + 9
+    for alt_id in ids:
+        assert from_id(alt_id).sampler is not None

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -174,3 +176,49 @@ class TestTableSerialization:
         doc["schema_version"] = 99
         with pytest.raises(InvalidInputError):
             CalibrationTable.from_json(doc)
+
+
+@pytest.fixture(scope="module")
+def table_doc():
+    table = calibrate(
+        Uniform01(), [ModelIndex(FOURIER, 1), ModelIndex(FOURIER, 2)],
+        n=20, alpha=0.05, B1=200, B2=200, u_grid_size=10, seed=8,
+    )
+    return table.to_json()
+
+
+def _increasing_rows(doc):
+    rows = np.reshape(doc["thresholds"], (len(doc["models"]), -1))
+    doc["thresholds"] = rows[:, ::-1].ravel().tolist()
+
+
+@pytest.mark.parametrize(
+    "defect,match",
+    [
+        (lambda doc: doc.update(thresholds=doc["thresholds"][:-1]), "cannot reshape"),
+        (lambda doc: doc.update(thresholds=doc["thresholds"][:-2]), "thresholds must hold"),
+        (lambda doc: doc.pop("u_alpha"), "missing field 'u_alpha'"),
+        (lambda doc: doc.pop("models"), "missing field 'models'"),
+        (lambda doc: doc.update(null={"family": "gaussian"}), "missing field 'mean'"),
+        (lambda doc: doc.update(budgets=[200]), "out of range"),
+        (lambda doc: doc.update(u_grid=doc["u_grid"][::-1]), "strictly increasing"),
+        (lambda doc: doc.update(u_alpha=doc["u_alpha"] * (1 - 1e-9)), "not on the u grid"),
+        (
+            lambda doc: doc.update(
+                thresholds_at_u_alpha=[v + 1.0 for v in doc["thresholds_at_u_alpha"]]
+            ),
+            "not the u_alpha column",
+        ),
+        (_increasing_rows, "must not increase in u"),
+    ],
+    ids=[
+        "truncated-thresholds", "thresholds-short-one-column", "missing-u-alpha",
+        "missing-models", "null-without-mean", "one-budget", "reversed-u-grid",
+        "u-alpha-off-grid", "stale-u-alpha-column", "increasing-threshold-row",
+    ],
+)
+def test_table_schema_defects_are_input_errors(table_doc, defect, match):
+    doc = copy.deepcopy(table_doc)
+    defect(doc)
+    with pytest.raises(InvalidInputError, match=match):
+        CalibrationTable.from_json(doc)

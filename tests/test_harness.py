@@ -17,9 +17,12 @@ from adagof.harness import (
     build_column,
     derive_stream,
     estimate_power,
+    _UNIFORMITY_ROWS,
+    _scaled_budgets,
     rejection_counts,
     reproduce_table,
     scale_models,
+    table_cells,
     trigonometric_models,
 )
 from adagof.null_models import Exponential, Uniform01
@@ -160,6 +163,25 @@ class TestEstimatePower:
         assert config.model_params.policy.coarse_points == 33
 
 
+def test_power_report_matches_its_preset_column():
+    # a power config and the T1 preset build the same column and count the
+    # same replicates, so the T_tr cells equal the report
+    scale, seed = 0.012, 3
+    B, reps_power, reps_level = _scaled_budgets(scale)
+    cells = [c for c in table_cells("T1", seed=seed, scale=scale) if c.test == "T_tr"]
+    power = [c for c in cells if c.section != "level"]
+    config = ExperimentConfig(
+        test=TestKind.TTR, null="uniform", n=50, model_params=ModelParams(d_tr=6),
+        alternatives=tuple(alt_id for _, alt_id, _ in _UNIFORMITY_ROWS),
+        reps_power=reps_power, reps_level=reps_level, calib=(B, B), seed=seed,
+    )
+    report = estimate_power(config, build_missing=True)
+    assert [(e.power, e.std_error, e.reps) for e in report.entries] == [
+        (c.estimate, c.std_error, c.reps) for c in power
+    ]
+    assert (report.level, report.level_std_error) == (cells[-1].estimate, cells[-1].std_error)
+
+
 class TestWorkerIndependence:
     def test_rejection_counts_independent_of_workers(self, tiny_table):
         column = TestColumn("T_tr", TestKind.TTR, table=tiny_table)
@@ -263,3 +285,51 @@ class TestCli:
         out = capsys.readouterr().out
         assert rc == 0
         assert out.count("PASS") == 4
+
+
+_MALFORMED_CLI = {
+    "non-numeric-data": ["test", "--calib", "{table}", "--data", "{bad_data}"],
+    "short-policy": [
+        "calibrate", "--null", "exponential", "--models", "piecewise:2-3", "--n", "20",
+        "--statistic", "composite", "--policy", "10,33", "--out", "{out}",
+    ],
+    "non-integer-degree": [
+        "calibrate", "--null", "uniform", "--models", "fourier:x-3", "--n", "20", "--out", "{out}",
+    ],
+    "missing-calib-file": ["test", "--calib", "{missing}", "--data", "{data}"],
+    "missing-config-file": ["power", "--config", "{missing}"],
+    "unknown-test-in-config": ["power", "--config", "{bogus_config}"],
+    "non-integer-n-in-config": ["power", "--config", "{bad_n_config}"],
+    "non-integer-alternative-parameter": ["power", "--config", "{bad_alt_config}"],
+    "truncated-table": ["test", "--calib", "{truncated_table}", "--data", "{data}"],
+    "unwritable-out": [
+        "calibrate", "--null", "uniform", "--models", "fourier:1", "--n", "20",
+        "--b1", "100", "--b2", "100", "--out", "{missing}/table.json",
+    ],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED_CLI))
+def test_malformed_input_exits_2(case, tmp_path, capsys, tiny_table):
+    table_doc = tiny_table.to_json()
+    files = {
+        "table": table_doc,
+        "truncated_table": dict(table_doc, thresholds=table_doc["thresholds"][:-1]),
+        "bogus_config": {"test": "bogus", "null": "uniform", "n": 25},
+        "bad_n_config": {"test": "ks", "null": "uniform", "n": "twenty-five"},
+        "bad_alt_config": {
+            "test": "ks", "null": "uniform", "n": 25, "alternatives": ["f:0.5,2.7"],
+            "reps_power": 100, "reps_level": 100, "calib": [1000, 1000],
+        },
+    }
+    paths = {"out": tmp_path / "out.json", "missing": tmp_path / "missing"}
+    for name, doc in files.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(doc), encoding="utf-8")
+    paths["data"] = tmp_path / "data.txt"
+    paths["data"].write_text("\n".join(["0.41"] * 25), encoding="utf-8")
+    paths["bad_data"] = tmp_path / "bad_data.txt"
+    paths["bad_data"].write_text("0.41\n0.2x\n", encoding="utf-8")
+    argv = [a.format(**{k: str(v) for k, v in paths.items()}) for a in _MALFORMED_CLI[case]]
+    assert cli_main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
