@@ -36,7 +36,10 @@ from .estimators import (
 )
 from .bases import BasisFamily
 from .null_models import NullDensity, null_from_json
-from .streams import derive_stream
+from .streams import replicate_streams
+
+# Imported only so that perfbench/tracing.py can wrap it at this import site.
+from .streams import derive_stream  # noqa: F401
 
 SCHEMA_VERSION = 1
 
@@ -49,14 +52,15 @@ class StatisticKind(Enum):
 def draw_samples(sample, n: int, seed: int, label: str, start: int, stop: int) -> np.ndarray:
     """Replicates ``start .. stop - 1`` of one labelled batch, one per row.
 
-    Row ``i`` is ``sample(n, stream)`` on the stream derived from ``(seed,
-    label, start + i)``.  This is the package's only draw loop: null
+    Row ``i`` is ``sample(n, stream)`` on the stream ``derive_stream(seed,
+    label, start + i)``, bit for bit; ``replicate_streams`` derives the whole
+    range's streams in bulk.  This is the package's only draw loop: null
     thresholds, baseline critical values and power replicates all come
     through it.
     """
     samples = np.empty((stop - start, n))
-    for i, r in enumerate(range(start, stop)):
-        samples[i] = sample(n, derive_stream(seed, label, r))
+    for i, stream in enumerate(replicate_streams(seed, label, start, stop)):
+        samples[i] = sample(n, stream)
     return samples
 
 

@@ -130,6 +130,18 @@ _BASELINE = {
 }
 
 
+def _json_field(doc: dict, key: str, kind: type, default, name: str | None = None):
+    """``doc[key]``, ``default`` when absent or null; a list comes back as a
+    tuple.  A value of another JSON type is an input error naming the field,
+    so a string is not split into characters or added to a number."""
+    value = doc.get(key)
+    if value is None:
+        return default
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise InvalidInputError(f"{name or key} must be a JSON {kind.__name__}, got {value!r}")
+    return tuple(value) if kind is list else value
+
+
 @dataclass(frozen=True)
 class ModelParams:
     d_tr: int | None = None
@@ -142,10 +154,13 @@ class ModelParams:
     def from_json(cls, doc: dict) -> "ModelParams":
         if not isinstance(doc, dict):
             raise InvalidInputError("model_params must be a JSON object")
-        d_range, policy = doc.get("d_range"), doc.get("policy")
+        policy = doc.get("policy")
+        fields = {
+            key: _json_field(doc, key, kind, None, f"model_params.{key}")
+            for key, kind in (("d_tr", int), ("d_ct", int), ("d_of_n", int), ("d_range", list))
+        }
         return cls(
-            d_tr=doc.get("d_tr"), d_ct=doc.get("d_ct"), d_of_n=doc.get("d_of_n"),
-            d_range=tuple(d_range) if d_range else None,
+            **fields,
             policy=ScaleSearchPolicy.from_json(policy) if policy else None,
         )
 
@@ -183,10 +198,10 @@ class ExperimentConfig:
                 n=int(doc["n"]),
                 alpha=float(doc.get("alpha", 0.05)),
                 model_params=ModelParams.from_json(doc.get("model_params", {})),
-                alternatives=tuple(doc.get("alternatives", ())),
+                alternatives=_json_field(doc, "alternatives", list, ()),
                 reps_power=int(doc.get("reps_power", 5000)),
                 reps_level=int(doc.get("reps_level", 20_000)),
-                calib=tuple(doc.get("calib", (20_000, 20_000))),
+                calib=_json_field(doc, "calib", list, (20_000, 20_000)),
                 seed=int(doc.get("seed", 0)),
             )
 

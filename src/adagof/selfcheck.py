@@ -3,8 +3,9 @@
 Each check pits a production code path against an independent brute-force
 route: the pair-sum estimator against its literal double loop, the
 cosine-series statistic against a triple loop, the smooth test's Legendre
-recurrence against numpy's polynomial evaluation, and the order-statistic KS
-formula against a dense sup scan.
+recurrence against numpy's polynomial evaluation, the order-statistic KS
+formula against a dense sup scan, and the bulk replicate streams against
+``derive_stream``, that is numpy's own ``SeedSequence`` and ``PCG64``.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from .baselines import _legendre_colsums, bickel_ritov_statistic, ks_statistic
 from .bases import BasisFamily
 from .estimators import ModelIndex, theta_hat, theta_hat_naive
 from .null_models import Uniform01
+from .streams import derive_stream, replicate_streams
 
 
 def _check_theta_pairsum(rng: np.random.Generator, cases: int = 200) -> tuple[bool, str]:
@@ -87,6 +89,21 @@ def _check_ks(rng: np.random.Generator, cases: int = 20) -> tuple[bool, str]:
     return worst <= 1e-6, f"order-statistic KS vs dense sup scan: max abs err {worst:.2e}"
 
 
+def _check_streams(rng: np.random.Generator, cases: int = 50) -> tuple[bool, str]:
+    # (seed, first replicate): replicates 0 and 2**32 - 1 close the one-word
+    # range, 2**32 opens the two-word one; the rest are random 64-bit pairs
+    pairs = [(0, 0), (2**64 - 1, 2**32 - 1), (7, 2**32)]
+    pairs += rng.integers(0, 2**64, (cases, 2), dtype=np.uint64).tolist()
+    rows = mismatched = 0
+    for i, (seed, start) in enumerate(pairs):
+        label = f"selfcheck:{i}"
+        for r, stream in enumerate(replicate_streams(seed, label, start, start + 2), start):
+            rows += 1
+            if not np.array_equal(stream.random(16), derive_stream(seed, label, r).random(16)):
+                mismatched += 1
+    return mismatched == 0, f"bulk replicate streams vs derive_stream: {mismatched} of {rows} rows differ"
+
+
 def run_selfcheck(seed: int = 0) -> tuple[bool, list[str]]:
     rng = np.random.default_rng(seed)
     results = [
@@ -94,6 +111,7 @@ def run_selfcheck(seed: int = 0) -> tuple[bool, list[str]]:
         _check_bickel_ritov(rng),
         _check_legendre(rng),
         _check_ks(rng),
+        _check_streams(rng),
     ]
     lines = [("PASS " if ok else "FAIL ") + msg for ok, msg in results]
     return all(ok for ok, _ in results), lines

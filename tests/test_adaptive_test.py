@@ -2,11 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adagof.adaptive_test import (
     run_composite_compact_test,
     run_composite_invariant_test,
     run_simple_test,
+)
+from adagof.baselines import (
+    bickel_ritov_statistic,
+    kallenberg_ledwina_test,
+    ks_exponential_statistic,
+    ks_statistic,
 )
 from adagof.bases import BasisFamily
 from adagof.calibration import StatisticKind, calibrate
@@ -236,3 +244,49 @@ class TestDecisionsUseTheKernel:
         results = [run_composite_invariant_test(x, d, None, table) for x in samples]
         batch = composite_scale_stats_batch(samples, table.models, d, table.policy)
         _assert_decisions_are_kernel_rows(results, batch, table)
+
+
+# Every public decision entry point, as (null the sample is drawn from, n,
+# call); the tables come from the module fixtures.
+_ENTRY_POINTS = {
+    "run_simple_test": (Uniform01(), 40, lambda x, t: run_simple_test(x, Uniform01(), t["simple"])),
+    "run_composite_invariant_test": (
+        Exponential(), 60,
+        lambda x, t: run_composite_invariant_test(x, Exponential(), None, t["composite"]),
+    ),
+    "run_composite_compact_test": (
+        Gaussian(0.0, 1.0), 50,
+        lambda x, t: run_composite_compact_test(
+            x, Gaussian(0.0, 1.0), ((-0.5, 0.5), (0.8, 1.6)), (3, 3), t["gauss"]
+        ),
+    ),
+    "ks_statistic": (Uniform01(), 40, lambda x, t: ks_statistic(x, Uniform01())),
+    "ks_exponential_statistic": (Exponential(), 60, lambda x, t: ks_exponential_statistic(x)),
+    "bickel_ritov_statistic": (Uniform01(), 40, lambda x, t: bickel_ritov_statistic(x, 6)),
+    "kallenberg_ledwina_test": (Uniform01(), 40, lambda x, t: kallenberg_ledwina_test(x, 6, 1.0)),
+}
+
+
+@pytest.fixture(scope="module")
+def tables(simple_table, composite_table, gauss_table):
+    return {"simple": simple_table, "composite": composite_table, "gauss": gauss_table}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    entry=st.sampled_from(sorted(_ENTRY_POINTS)),
+    replicate=st.integers(0, 2**32 - 1),
+    bad=st.lists(
+        st.tuples(
+            st.floats(0.0, 1.0, exclude_max=True), st.sampled_from([math.nan, math.inf, -math.inf])
+        ),
+        min_size=1, max_size=3,
+    ),
+)
+def test_non_finite_sample_raises_at_every_entry_point(tables, entry, replicate, bad):
+    null, n, call = _ENTRY_POINTS[entry]
+    x = null.sample(n, derive_stream(34, "non-finite", replicate))
+    for where, value in bad:
+        x[int(where * n)] = value
+    with pytest.raises(AdagofError):
+        call(x, tables)

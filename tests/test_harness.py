@@ -284,7 +284,7 @@ class TestCli:
         rc = cli_main(["selfcheck"])
         out = capsys.readouterr().out
         assert rc == 0
-        assert out.count("PASS") == 4
+        assert out.count("PASS") == 5
 
 
 _MALFORMED_CLI = {
@@ -333,3 +333,20 @@ def test_malformed_input_exits_2(case, tmp_path, capsys, tiny_table):
     argv = [a.format(**{k: str(v) for k, v in paths.items()}) for a in _MALFORMED_CLI[case]]
     assert cli_main(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "field, doc",
+    [
+        ("alternatives", {"alternatives": "f:0.5,2"}),
+        ("calib", {"calib": "1000,1000"}),
+        ("model_params.d_range", {"test": "composite", "model_params": {"d_range": "2-10"}}),
+        ("model_params.d_tr", {"test": "ttr", "model_params": {"d_tr": "3"}}),
+    ],
+)
+def test_config_field_of_the_wrong_json_type_exits_2_naming_it(field, doc, tmp_path, capsys):
+    config = {"test": "ks", "null": "uniform", "n": 25, "reps_power": 100, "reps_level": 100, **doc}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    assert cli_main(["power", "--config", str(path), "--build-missing"]) == 2
+    assert f"{field} must be a JSON" in capsys.readouterr().err
