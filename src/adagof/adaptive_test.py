@@ -101,9 +101,12 @@ def run_simple_test(sample: np.ndarray, d: NullDensity, table: CalibrationTable)
     """Fixed-density test: reject when some model's statistic clears its threshold."""
     _check_table(sample, d, table, StatisticKind.SIMPLE)
     stats = simple_stats_batch(np.asarray(sample, dtype=float)[None, :], table.models, d)[0]
+    thresholds = table.thresholds_at_u_alpha
     diagnostics = [
-        ModelDiagnostic(m, float(stat), float(thr), float(stat) - float(thr))
-        for m, stat, thr in zip(table.models, stats, table.thresholds_at_u_alpha)
+        ModelDiagnostic(m, stat, thr, exceedance)
+        for m, stat, thr, exceedance in zip(
+            table.models, stats.tolist(), thresholds.tolist(), (stats - thresholds).tolist()
+        )
     ]
     return _assemble(table, diagnostics)
 

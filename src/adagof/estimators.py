@@ -26,8 +26,11 @@ simulated to calibrate its thresholds.
 
 The piecewise kernels count same-bin pairs from run lengths in one pass over
 a stacked array: all degrees of a block of rows, or every (row, candidate
-ratio) pair of the scale search.  Blocks hold about ``_BLOCK_ELEMENTS``
-observations, so temporaries do not grow with the batch.
+ratio) pair of the scale search.  The Fourier part takes every frequency of a
+block of rows from one ``cos`` and one ``sin`` call, bit for bit the values
+of :func:`~adagof.bases.fourier_eval`.  Blocks hold about
+``_BLOCK_ELEMENTS`` stacked elements, so temporaries do not grow with the
+batch.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bases import BasisFamily, bin_index, fourier_eval
+from .bases import _SQRT2, BasisFamily, bin_index, fourier_eval
 # Imported only so that perfbench/tracing.py can wrap it at this import site.
 from .bases import basis_sums  # noqa: F401
 from .errors import (
@@ -219,12 +222,21 @@ def _theta_batch(x: np.ndarray, models, upper: float | None) -> np.ndarray:
             out[blk, piecewise] = _piecewise_theta(bins, degrees[..., 0]).T
     fourier = [m.degree for m in models if m.family is BasisFamily.FOURIER]
     if fourier:
-        cols = np.empty((max(fourier) + 1, b))
-        for l in range(len(cols)):
-            vals = fourier_eval(l, x)
-            S = vals.sum(axis=1)
-            Q = (vals * vals).sum(axis=1)
-            cols[l] = S * S - Q
+        if not (np.all(x[:, 0] >= 0.0) and np.all(x[:, -1] <= 1.0)):  # rows are sorted
+            raise InvalidInputError("fourier basis is defined on [0, 1]")
+        # cols[l] = S_l^2 - Q_l for the functions l of fourier_eval: the
+        # constant, then sqrt(2) cos(2 pi p x) at l = 2p - 1 and sqrt(2)
+        # sin(2 pi p x) at l = 2p, every frequency of a block in one pass
+        top = max(fourier)
+        freqs = 2.0 * np.pi * np.arange(1, (top + 1) // 2 + 1)
+        cols = np.empty((top + 1, b))
+        cols[0] = n * n - n
+        for blk in _row_blocks(b, n * freqs.size):
+            angles = freqs[:, None, None] * x[blk]
+            for first, vals in ((1, np.cos(angles)), (2, np.sin(angles[: top // 2]))):
+                vals *= _SQRT2
+                S = vals.sum(axis=-1)
+                cols[first::2, blk] = S * S - (vals * vals).sum(axis=-1)
         fourier_cums = np.cumsum(cols, axis=0)
         for col, m in enumerate(models):
             if m.family is BasisFamily.FOURIER:

@@ -183,6 +183,12 @@ class ExperimentConfig:
             raise InvalidInputError(f"alpha must lie in (0, 1), got {self.alpha}")
         if len(self.calib) != 2:
             raise InvalidInputError(f"calib takes two budgets (B1, B2), got {self.calib!r}")
+        for name, value in (
+            ("n", self.n), ("reps_power", self.reps_power), ("reps_level", self.reps_level),
+            ("calib", self.calib[0]), ("calib", self.calib[1]),
+        ):
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+                raise InvalidInputError(f"{name} must be an integer, got {value!r}")
         for budget in (self.reps_power, self.reps_level, *self.calib):
             if budget < 100:
                 raise InvalidInputError("all Monte Carlo budgets must be >= 100")
@@ -195,12 +201,12 @@ class ExperimentConfig:
             return cls(
                 test=TestKind(doc["test"]),
                 null=str(doc["null"]),
-                n=int(doc["n"]),
+                n=_json_field(doc, "n", int, None),
                 alpha=float(doc.get("alpha", 0.05)),
                 model_params=ModelParams.from_json(doc.get("model_params", {})),
                 alternatives=_json_field(doc, "alternatives", list, ()),
-                reps_power=int(doc.get("reps_power", 5000)),
-                reps_level=int(doc.get("reps_level", 20_000)),
+                reps_power=_json_field(doc, "reps_power", int, 5000),
+                reps_level=_json_field(doc, "reps_level", int, 20_000),
                 calib=_json_field(doc, "calib", list, (20_000, 20_000)),
                 seed=int(doc.get("seed", 0)),
             )

@@ -6,7 +6,9 @@ exponential.  All sampling is by inverse transform so that one uniform draw
 maps to exactly one output value, keeping replicate streams aligned across
 test variants.  The Gaussian cdf/quantile pair is backed by
 ``scipy.special.ndtr`` / ``ndtri`` (Cephes rational approximations, well
-below the 1e-12 absolute error this package requires).
+below the 1e-12 absolute error this package requires), imported on first
+use: ``scipy.special`` adds about 20 MB of RSS, and the uniform and
+exponential paths never need it.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import InvalidInputError
 
@@ -134,11 +135,15 @@ class Gaussian(NullDensity):
         return out if out.ndim else float(out)
 
     def cdf(self, x):
+        from scipy import special
+
         z = (np.asarray(x, dtype=float) - self.mean) / self.sd
         out = special.ndtr(z)
         return out if out.ndim else float(out)
 
     def _quantile(self, u: np.ndarray) -> np.ndarray:
+        from scipy import special
+
         return self.mean + self.sd * special.ndtri(u)
 
     def to_json(self) -> dict:

@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import adagof
 from adagof.adaptive_test import (
     run_composite_compact_test,
     run_composite_invariant_test,
@@ -290,3 +295,34 @@ def test_non_finite_sample_raises_at_every_entry_point(tables, entry, replicate,
         x[int(where * n)] = value
     with pytest.raises(AdagofError):
         call(x, tables)
+
+
+_DECIDE_WITHOUT_SCIPY_SPECIAL = """
+import sys
+import numpy as np
+from adagof import Exponential, ModelIndex, BasisFamily, StatisticKind, Uniform01, calibrate
+from adagof import run_composite_invariant_test, run_simple_test
+from adagof.estimators import ScaleSearchPolicy
+from adagof.harness import mixed_models
+rng = np.random.default_rng(3)
+table = calibrate(Uniform01(), mixed_models(4, 3), n=30, B1=200, B2=200, seed=1)
+run_simple_test(rng.random(30), Uniform01(), table)
+models = [ModelIndex(BasisFamily.PIECEWISE_CONSTANT, d) for d in (2, 3)]
+table = calibrate(
+    Exponential(), models, n=30, B1=200, B2=200, seed=2,
+    statistic_kind=StatisticKind.COMPOSITE_INVARIANT, policy=ScaleSearchPolicy(coarse_points=17),
+)
+run_composite_invariant_test(rng.exponential(2.0, 30), Exponential(), None, table)
+print(sorted(m for m in ("scipy.special", "scipy.integrate") if m in sys.modules))
+"""
+
+
+def test_uniform_and_exponential_decisions_do_not_load_scipy_special():
+    # a fresh interpreter: this test process may have loaded them already
+    src = str(Path(adagof.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c", _DECIDE_WITHOUT_SCIPY_SPECIAL],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.strip() == "[]"

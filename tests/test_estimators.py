@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adagof import estimators
-from adagof.bases import BasisFamily
+from adagof.adaptive_test import run_simple_test
+from adagof.bases import BasisFamily, fourier_eval
+from adagof.calibration import calibrate
 from adagof.errors import (
     AdagofError,
     InsufficientSampleError,
@@ -371,6 +373,55 @@ class TestBatchedSimpleStats:
         for r in range(5):
             for c, m in enumerate(models):
                 assert batch[r, c] == pytest.approx(_oracle_t_hat(samples[r], m, d), abs=1e-13)
+
+
+def _fourier_reference(samples, top, d):
+    """``t_hat`` for fourier:1..top, one ``fourier_eval`` pass per function,
+    with the summation order of the kernel."""
+    x = np.sort(samples, axis=1)
+    n = x.shape[1]
+    cols = []
+    for l in range(top + 1):
+        vals = fourier_eval(l, x)
+        S = vals.sum(axis=1)
+        cols.append(S * S - (vals * vals).sum(axis=1))
+    theta = np.cumsum(cols, axis=0)[1:].T / (n * (n - 1))
+    return theta + (d.l2_norm_sq - 2.0 * np.sum(d.pdf(x), axis=1) / n)[:, None]
+
+
+def _fourier_block_rows(n, top):
+    return max(1, estimators._BLOCK_ELEMENTS // (n * ((top + 1) // 2)))
+
+
+@pytest.mark.parametrize("n", [2, 100, 1001])
+@pytest.mark.parametrize("top", [1, 2, 12, 13])
+def test_stacked_fourier_matches_per_function_reference_bit_for_bit(top, n):
+    block = _fourier_block_rows(n, top)
+    rng = np.random.default_rng(1000 * top + n)
+    models = [ModelIndex(FOURIER, degree) for degree in range(1, top + 1)]
+    for rows in sorted({1, max(block - 1, 1), block, block + 1}):
+        samples = rng.random((rows, n))
+        samples[::2, 0] = 0.0  # both support edges, in every block
+        samples[1::3, -1] = 1.0
+        got = simple_stats_batch(samples, models, Uniform01())
+        want = _fourier_reference(samples, top, Uniform01())
+        assert got.tobytes() == want.tobytes(), (top, n, rows)
+    assert simple_stats_batch(np.empty((0, n)), models, Uniform01()).shape == (0, top)
+
+
+@pytest.mark.parametrize("bad", [np.nextafter(1.0, 2.0), -1e-300])
+def test_fourier_domain_checked_on_every_row(bad):
+    models = [ModelIndex(FOURIER, degree) for degree in range(1, 13)]
+    n = 30
+    samples = np.random.default_rng(8).random((3 * _fourier_block_rows(n, 12) + 1, n))
+    samples[-1, n // 2] = bad  # the last row of the last block
+    with pytest.raises(InvalidInputError, match=r"defined on \[0, 1\]"):
+        simple_stats_batch(samples, models, Uniform01())
+    with pytest.raises(InvalidInputError, match=r"defined on \[0, 1\]"):
+        t_hat(samples[-1], models[-1], Uniform01())
+    table = calibrate(Uniform01(), models, n=n, B1=200, B2=200, seed=4)
+    with pytest.raises(InvalidInputError, match=r"defined on \[0, 1\]"):
+        run_simple_test(samples[-1], Uniform01(), table)
 
 
 _ENTRY_POINTS = {

@@ -350,3 +350,24 @@ def test_config_field_of_the_wrong_json_type_exits_2_naming_it(field, doc, tmp_p
     path.write_text(json.dumps(config), encoding="utf-8")
     assert cli_main(["power", "--config", str(path), "--build-missing"]) == 2
     assert f"{field} must be a JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "field, doc",
+    [
+        ("n", {"n": 25.5}),
+        ("reps_power", {"reps_power": 100.5}),
+        ("reps_level", {"reps_level": 100.5}),
+        ("calib", {"calib": [100.5, 100]}),
+    ],
+)
+def test_non_integer_size_or_budget_in_config_exits_2_naming_it(field, doc, tmp_path, capsys):
+    # the config runs (exit 0) with integer values
+    config = {
+        "test": "ttr", "null": "uniform", "n": 25, "model_params": {"d_tr": 2},
+        "reps_power": 100, "reps_level": 100, "calib": [100, 100], **doc,
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    assert cli_main(["power", "--config", str(path), "--build-missing"]) == 2
+    assert f"{field} must be" in capsys.readouterr().err
