@@ -10,9 +10,20 @@ the remaining families use inverse transforms.
 Specs are addressable by string id, e.g. ``f:0.5,2``, ``g:10,20,0.25``,
 ``norm:g:1,1``, ``exp:k:10,20,0.25``.
 
+A sampler draws from a generator or from a lane block of replicate streams
+(:mod:`adagof.streams`), with one implementation for both: a generator is a
+one-lane block.  Inverse transforms are elementwise and take a block's
+``(rows, n)`` uniforms at once.  The rejection, Marsaglia-Tsang and
+pick-then-fill samplers owe each lane its own number of draws; every pass
+advances all unfinished lanes together, on rows padded to the widest lane,
+and appends each lane's accepted values in order, so each lane consumes
+exactly the uniforms a one-lane call on its generator would.  Their inner
+steps return the draws of all lanes as one flat array, lane after lane.
+
 ``scipy.special`` is imported inside the samplers and densities that use it,
-once per call: it adds about 20 MB of RSS to every process importing adagof,
-and the uniform and exponential nulls never need it.
+once per call and before a sampler's first lane draw: it adds about 20 MB of
+RSS to every process importing adagof, and the uniform and exponential nulls
+never need it.
 """
 
 from __future__ import annotations
@@ -24,23 +35,62 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidInputError, parse_fields
-from .null_models import NullDensity
+from .null_models import NullDensity, check_sample_size
+from .null_models import _unit_uniforms as _unit
+from .streams import LaneBlock, as_lanes
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _TINY = np.nextafter(0.0, 1.0)
 
 
-def _unit(stream: np.random.Generator, n: int) -> np.ndarray:
-    u = stream.random(n)
-    u[u == 0.0] = _TINY
-    return u
+def _lanes(stream, n):
+    """The lane block of ``stream`` and the draws each lane owes: ``n`` on
+    every lane, or one count per lane."""
+    lanes = as_lanes(stream)
+    return lanes, np.broadcast_to(np.asarray(n, dtype=np.intp), (lanes.rows,))
+
+
+def _flat(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The first ``counts[i]`` entries of each row ``i``, row after row: a
+    pass's draws without the padding."""
+    return values[np.arange(values.shape[1]) < counts[:, None]]
+
+
+def _append(out: np.ndarray, filled: np.ndarray, values: np.ndarray, ok: np.ndarray) -> np.ndarray:
+    """Write each row's ``values[ok]``, in order, into its row of ``out`` after
+    its ``filled`` entries; returns the new fill."""
+    rows, cols = np.nonzero(ok)
+    taken = np.bincount(rows, minlength=filled.size)
+    first = np.cumsum(taken) - taken
+    out[rows, filled[rows] + np.arange(rows.size) - first[rows]] = values[rows, cols]
+    return filled + taken
+
+
+def _import_special() -> None:
+    """Import ``scipy.special`` ahead of a mixture sampler's first lane draw,
+    for ``_gamma`` to use later.  Its first import allocates a few MB for a
+    moment, which would otherwise add to the block's drawn lanes."""
+    from scipy import special  # noqa: F401
+
+
+def _lanewise(draw):
+    """A spec sampler from ``draw(lanes, n)``, which returns a ``(rows, n)``
+    array: a lane block gets every row, a generator its one row."""
+
+    def sampler(stream, n):
+        out = draw(as_lanes(stream), n)
+        return out if isinstance(stream, LaneBlock) else out[0]
+
+    return sampler
 
 
 @dataclass(frozen=True)
 class AlternativeSpec:
     id: str
     pdf: Callable[[np.ndarray], np.ndarray]
-    sampler: Callable[[np.random.Generator, int], np.ndarray]
+    #: ``sampler(stream, n)``: n draws from a generator, or ``(rows, n)``
+    #: from a lane block
+    sampler: Callable[[object, int], np.ndarray]
     support: tuple[float, float]
     params: dict = field(default_factory=dict)
     #: finite window holding all but < 1e-8 of the mass, for quadrature
@@ -52,10 +102,10 @@ def alt_pdf(spec: AlternativeSpec, x) -> np.ndarray:
     return spec.pdf(np.asarray(x, dtype=float))
 
 
-def alt_sample(spec: AlternativeSpec, stream: np.random.Generator, n: int) -> np.ndarray:
-    """n exact i.i.d. draws from the alternative."""
-    if n < 1:
-        raise InvalidInputError(f"sample size must be >= 1, got {n}")
+def alt_sample(spec: AlternativeSpec, stream, n: int) -> np.ndarray:
+    """n exact i.i.d. draws from the alternative; from a lane block, n per
+    lane, one row each."""
+    check_sample_size(n)
     return spec.sampler(stream, n)
 
 
@@ -83,40 +133,46 @@ def alt_l2_distance_sq(spec: AlternativeSpec, d: NullDensity) -> float:
 # ---------------------------------------------------------------------------
 
 
-def gamma_sample(stream: np.random.Generator, shape: float, n: int) -> np.ndarray:
+def gamma_sample(stream, shape: float, n) -> np.ndarray:
     """Gamma(shape, scale=1) draws by Marsaglia-Tsang accept-reject.
 
     Normal proposals come from the Gaussian quantile of a uniform draw, so
     the sampler consumes only the uniform stream.  For shape < 1 a draw with
-    shape + 1 is scaled by U^(1/shape).
+    shape + 1 is scaled by U^(1/shape).  ``n`` draws, or on a lane block ``n``
+    per lane (one count per lane allowed), lane after lane.
     """
     if shape <= 0.0:
         raise InvalidInputError(f"gamma shape must be positive, got {shape}")
+    lanes, want = _lanes(stream, n)
     if shape < 1.0:
-        boost = _unit(stream, n) ** (1.0 / shape)
-        return gamma_sample(stream, shape + 1.0, n) * boost
+        boost = _flat(_unit(lanes, want), want) ** (1.0 / shape)
+        return _gamma(lanes, shape + 1.0, want) * boost
     from scipy import special  # once per call, not per rejection pass
 
     d = shape - 1.0 / 3.0
     c = 1.0 / math.sqrt(9.0 * d)
-    out = np.empty(n)
-    filled = 0
-    while filled < n:
-        k = n - filled
-        z = special.ndtri(_unit(stream, k))
-        u = _unit(stream, k)
+    out = np.empty((lanes.rows, want.max(initial=0)))
+    filled = np.zeros(lanes.rows, dtype=np.intp)
+    while (k := want - filled).any():
+        z = special.ndtri(_unit(lanes, k))
+        u = _unit(lanes, k)
         v = (1.0 + c * z) ** 3
         ok = (v > 0.0) & (np.log(u) < 0.5 * z * z + d - d * v + d * np.log(np.maximum(v, _TINY)))
-        m = int(ok.sum())
-        if m:
-            out[filled : filled + m] = d * v[ok]
-            filled += m
-    return out
+        ok &= np.arange(ok.shape[1]) < k[:, None]
+        filled = _append(out, filled, d * v, ok)
+    return _flat(out, want)
 
 
-def beta_sample(stream: np.random.Generator, p: float, q: float, n: int) -> np.ndarray:
-    g1 = gamma_sample(stream, p, n)
-    g2 = gamma_sample(stream, q, n)
+# The samplers call gamma_sample under this name: perfbench/tracing.py wraps
+# the module's gamma_sample and adds the sizes of its _unit calls as numbers,
+# which a lane block's per-lane counts are not.
+_gamma = gamma_sample
+
+
+def beta_sample(stream, p: float, q: float, n) -> np.ndarray:
+    """Beta(p, q) draws as G1 / (G1 + G2), shaped like ``gamma_sample``'s."""
+    g1 = _gamma(stream, p, n)
+    g2 = _gamma(stream, q, n)
     return g1 / (g1 + g2)
 
 
@@ -143,28 +199,22 @@ def gamma_pdf(x: np.ndarray, shape: float, rate: float) -> np.ndarray:
     return np.where(inside, vals, 0.0)
 
 
-def _rejection_unit_counted(
-    stream: np.random.Generator,
-    n: int,
-    pdf: Callable[[np.ndarray], np.ndarray],
-    envelope: float,
-) -> tuple[np.ndarray, int]:
-    """Rejection sampling on [0, 1) under a constant envelope; returns
-    (draws, number of proposals) so acceptance rates can be audited."""
-    out = np.empty(n)
-    filled = 0
+def _rejection_unit_counted(stream, n, pdf: Callable[[np.ndarray], np.ndarray], envelope: float):
+    """Rejection sampling on [0, 1) under a constant envelope: ``n`` draws, or
+    on a lane block ``n`` per lane (one count per lane allowed), lane after
+    lane.  Returns (draws, number of proposals) so acceptance rates can be
+    audited."""
+    lanes, want = _lanes(stream, n)
+    out = np.empty((lanes.rows, want.max(initial=0)))
+    filled = np.zeros(lanes.rows, dtype=np.intp)
     proposals = 0
-    while filled < n:
-        k = n - filled
-        x = _unit(stream, k)
-        v = stream.random(k)
-        proposals += k
-        ok = v * envelope <= pdf(x)
-        m = int(ok.sum())
-        if m:
-            out[filled : filled + m] = x[ok]
-            filled += m
-    return out, proposals
+    while (k := want - filled).any():
+        x = _unit(lanes, k)
+        v = lanes.random(k)
+        proposals += int(k.sum())
+        ok = (v * envelope <= pdf(x)) & (np.arange(x.shape[1]) < k[:, None])
+        filled = _append(out, filled, x, ok)
+    return _flat(out, want), proposals
 
 
 def _legendre_poly(j: int, x: np.ndarray) -> np.ndarray:
@@ -194,11 +244,12 @@ def cosine_contamination(rho: float, j: int) -> AlternativeSpec:
         inside = (x >= 0.0) & (x <= 1.0)
         return np.where(inside, 1.0 + rho * np.cos(j * np.pi * x), 0.0)
 
-    def sampler(stream, n):
+    @_lanewise
+    def sampler(lanes, n):
         draws, _ = _rejection_unit_counted(
-            stream, n, lambda x: 1.0 + rho * np.cos(j * np.pi * x), 1.0 + rho
+            lanes, n, lambda x: 1.0 + rho * np.cos(j * np.pi * x), 1.0 + rho
         )
-        return draws
+        return draws.reshape(lanes.rows, n)
 
     return AlternativeSpec(
         id=f"f:{rho:g},{j:d}",
@@ -220,13 +271,14 @@ def beta_mixture(p: float, q: float, eps: float) -> AlternativeSpec:
         inside = (x >= 0.0) & (x <= 1.0)
         return np.where(inside, (1.0 - eps) + eps * beta_pdf(x, p, q), 0.0)
 
-    def sampler(stream, n):
-        out = np.empty(n)
-        pick = stream.random(n) < eps
-        n_beta = int(pick.sum())
-        out[~pick] = stream.random(n - n_beta)
-        if n_beta:
-            out[pick] = beta_sample(stream, p, q, n_beta)
+    @_lanewise
+    def sampler(lanes, n):
+        _import_special()
+        pick = lanes.random(n) < eps
+        n_beta = pick.sum(axis=1)
+        out = np.empty(pick.shape)
+        out[~pick] = _flat(lanes.random(n - n_beta), n - n_beta)
+        out[pick] = beta_sample(lanes, p, q, n_beta)
         return out
 
     return AlternativeSpec(
@@ -253,9 +305,10 @@ def legendre_contamination(rho: float, j: int) -> AlternativeSpec:
         inside = (x >= 0.0) & (x <= 1.0)
         return np.where(inside, raw(np.where(inside, x, 0.5)), 0.0)
 
-    def sampler(stream, n):
-        draws, _ = _rejection_unit_counted(stream, n, raw, 1.0 + rho * amp)
-        return draws
+    @_lanewise
+    def sampler(lanes, n):
+        draws, _ = _rejection_unit_counted(lanes, n, raw, 1.0 + rho * amp)
+        return draws.reshape(lanes.rows, n)
 
     return AlternativeSpec(
         id=f"h:{rho:g},{j:d}",
@@ -332,7 +385,7 @@ def double_exponential(p: float) -> AlternativeSpec:
     def sampler(stream, n):
         u = _unit(stream, n)
         left = u < 0.5
-        out = np.empty(n)
+        out = np.empty(u.shape)
         out[left] = np.log(2.0 * u[left]) / p
         out[~left] = -np.log(2.0 * (1.0 - u[~left])) / p
         return out
@@ -353,8 +406,10 @@ def double_exponential(p: float) -> AlternativeSpec:
 # ---------------------------------------------------------------------------
 
 
-def _exp_part_sampler(stream: np.random.Generator, n: int) -> np.ndarray:
-    return -np.log1p(-_unit(stream, n))
+def _exp_part(lanes, counts: np.ndarray) -> np.ndarray:
+    """Unit exponential draws by inversion, ``counts[i]`` on lane ``i``, lane
+    after lane."""
+    return _flat(-np.log1p(-_unit(lanes, counts)), counts)
 
 
 def _half_exp_half_unit(label: str, bump: Callable, params: dict) -> AlternativeSpec:
@@ -366,17 +421,14 @@ def _half_exp_half_unit(label: str, bump: Callable, params: dict) -> Alternative
         unit = np.where((x > 0.0) & (x < 1.0), 1.0 + bump(x), 0.0)
         return 0.5 * (base + unit)
 
-    def sampler(stream, n):
-        out = np.empty(n)
-        pick = stream.random(n) < 0.5
-        n_exp = int(pick.sum())
-        if n_exp:
-            out[pick] = _exp_part_sampler(stream, n_exp)
-        if n - n_exp:
-            draws, _ = _rejection_unit_counted(
-                stream, n - n_exp, lambda x: 1.0 + bump(x), 2.0
-            )
-            out[~pick] = draws
+    @_lanewise
+    def sampler(lanes, n):
+        pick = lanes.random(n) < 0.5
+        n_exp = pick.sum(axis=1)
+        out = np.empty(pick.shape)
+        out[pick] = _exp_part(lanes, n_exp)
+        draws, _ = _rejection_unit_counted(lanes, n - n_exp, lambda x: 1.0 + bump(x), 2.0)
+        out[~pick] = draws
         return out
 
     return AlternativeSpec(
@@ -417,14 +469,14 @@ def exp_beta_mixture(p: float, q: float, eps: float) -> AlternativeSpec:
         base = np.where(x >= 0.0, np.exp(-np.maximum(x, 0.0)), 0.0)
         return (1.0 - eps) * base + eps * beta_pdf(x, p, q)
 
-    def sampler(stream, n):
-        out = np.empty(n)
-        pick = stream.random(n) < eps
-        n_beta = int(pick.sum())
-        if n - n_beta:
-            out[~pick] = _exp_part_sampler(stream, n - n_beta)
-        if n_beta:
-            out[pick] = beta_sample(stream, p, q, n_beta)
+    @_lanewise
+    def sampler(lanes, n):
+        _import_special()
+        pick = lanes.random(n) < eps
+        n_beta = pick.sum(axis=1)
+        out = np.empty(pick.shape)
+        out[~pick] = _exp_part(lanes, n - n_beta)
+        out[pick] = beta_sample(lanes, p, q, n_beta)
         return out
 
     return AlternativeSpec(
@@ -449,14 +501,14 @@ def exp_gamma_mixture(p: float, q: float, eps: float) -> AlternativeSpec:
         base = np.where(x >= 0.0, np.exp(-np.maximum(x, 0.0)), 0.0)
         return (1.0 - eps) * base + eps * gamma_pdf(x, p, q)
 
-    def sampler(stream, n):
-        out = np.empty(n)
-        pick = stream.random(n) < eps
-        n_gamma = int(pick.sum())
-        if n - n_gamma:
-            out[~pick] = _exp_part_sampler(stream, n - n_gamma)
-        if n_gamma:
-            out[pick] = gamma_sample(stream, p, n_gamma) / q
+    @_lanewise
+    def sampler(lanes, n):
+        _import_special()
+        pick = lanes.random(n) < eps
+        n_gamma = pick.sum(axis=1)
+        out = np.empty(pick.shape)
+        out[~pick] = _exp_part(lanes, n - n_gamma)
+        out[pick] = _gamma(lanes, p, n_gamma) / q
         return out
 
     return AlternativeSpec(
@@ -498,8 +550,9 @@ def chi2_three_alt() -> AlternativeSpec:
     def pdf(x):
         return gamma_pdf(x, 1.5, 0.5)
 
-    def sampler(stream, n):
-        return 2.0 * gamma_sample(stream, 1.5, n)
+    @_lanewise
+    def sampler(lanes, n):
+        return 2.0 * _gamma(lanes, 1.5, n).reshape(lanes.rows, n)
 
     return AlternativeSpec(
         id="exp:v",

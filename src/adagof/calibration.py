@@ -36,7 +36,7 @@ from .estimators import (
 )
 from .bases import BasisFamily
 from .null_models import NullDensity, null_from_json
-from .streams import replicate_streams
+from .streams import lane_blocks
 
 # Imported only so that perfbench/tracing.py can wrap it at this import site.
 from .streams import derive_stream  # noqa: F401
@@ -53,14 +53,16 @@ def draw_samples(sample, n: int, seed: int, label: str, start: int, stop: int) -
     """Replicates ``start .. stop - 1`` of one labelled batch, one per row.
 
     Row ``i`` is ``sample(n, stream)`` on the stream ``derive_stream(seed,
-    label, start + i)``, bit for bit; ``replicate_streams`` derives the whole
-    range's streams in bulk.  This is the package's only draw loop: null
-    thresholds, baseline critical values and power replicates all come
-    through it.
+    label, start + i)``, bit for bit.  ``sample`` is called once per lane
+    block of ``lane_blocks`` and returns that block's rows.  This is the
+    package's only draw loop: null thresholds, baseline critical values and
+    power replicates all come through it.
     """
-    samples = np.empty((stop - start, n))
-    for i, stream in enumerate(replicate_streams(seed, label, start, stop)):
-        samples[i] = sample(n, stream)
+    samples = np.empty((max(stop - start, 0), n))
+    row = 0
+    for block in lane_blocks(seed, label, start, stop):
+        samples[row : row + block.rows] = sample(n, block)
+        row += block.rows
     return samples
 
 

@@ -185,7 +185,7 @@ class ExperimentConfig:
             raise InvalidInputError(f"calib takes two budgets (B1, B2), got {self.calib!r}")
         for name, value in (
             ("n", self.n), ("reps_power", self.reps_power), ("reps_level", self.reps_level),
-            ("calib", self.calib[0]), ("calib", self.calib[1]),
+            ("calib", self.calib[0]), ("calib", self.calib[1]), ("seed", self.seed),
         ):
             if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
                 raise InvalidInputError(f"{name} must be an integer, got {value!r}")
@@ -208,7 +208,7 @@ class ExperimentConfig:
                 reps_power=_json_field(doc, "reps_power", int, 5000),
                 reps_level=_json_field(doc, "reps_level", int, 20_000),
                 calib=_json_field(doc, "calib", list, (20_000, 20_000)),
-                seed=int(doc.get("seed", 0)),
+                seed=_json_field(doc, "seed", int, 0),
             )
 
     @classmethod

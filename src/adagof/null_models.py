@@ -4,7 +4,9 @@ statistics need: pdf, cdf, inverse cdf, and the squared L2 norm.
 Three families are provided: uniform on [0, 1], Gaussian, and the unit
 exponential.  All sampling is by inverse transform so that one uniform draw
 maps to exactly one output value, keeping replicate streams aligned across
-test variants.  The Gaussian cdf/quantile pair is backed by
+test variants.  The transform is elementwise, so ``sample`` takes a
+generator or a lane block of replicate streams (:mod:`adagof.streams`) alike:
+a block's ``(rows, n)`` uniforms map in one pass.  The Gaussian cdf/quantile pair is backed by
 ``scipy.special.ndtr`` / ``ndtri`` (Cephes rational approximations, well
 below the 1e-12 absolute error this package requires), imported on first
 use: ``scipy.special`` adds about 20 MB of RSS, and the uniform and
@@ -23,9 +25,16 @@ from .errors import InvalidInputError
 _TINY = np.nextafter(0.0, 1.0)
 
 
-def _unit_uniforms(stream: np.random.Generator, n: int) -> np.ndarray:
+def check_sample_size(n) -> None:
+    """A sampler's size must be an integer >= 1 (a bool is not one)."""
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
+        raise InvalidInputError(f"sample size must be an integer >= 1, got {n!r}")
+
+
+def _unit_uniforms(stream, n) -> np.ndarray:
     # random() yields [0, 1); nudge exact zeros so strict (0, 1) quantile
-    # preconditions hold along the sampling path.
+    # preconditions hold along the sampling path.  The alternatives' samplers
+    # use it too, as alternatives._unit.
     u = stream.random(n)
     u[u == 0.0] = _TINY
     return u
@@ -63,10 +72,10 @@ class NullDensity:
     def _quantile(self, u: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def sample(self, n: int, stream: np.random.Generator) -> np.ndarray:
-        """n i.i.d. draws by inverse transform; deterministic given the stream."""
-        if n < 1:
-            raise InvalidInputError(f"sample size must be >= 1, got {n}")
+    def sample(self, n: int, stream) -> np.ndarray:
+        """n i.i.d. draws by inverse transform; deterministic given the stream.
+        From a lane block, n per lane, one row each."""
+        check_sample_size(n)
         return self._quantile(_unit_uniforms(stream, n))
 
     def to_json(self) -> dict:
@@ -99,9 +108,8 @@ class Uniform01(NullDensity):
     def _quantile(self, u: np.ndarray) -> np.ndarray:
         return u.copy()
 
-    def sample(self, n: int, stream: np.random.Generator) -> np.ndarray:
-        if n < 1:
-            raise InvalidInputError(f"sample size must be >= 1, got {n}")
+    def sample(self, n: int, stream) -> np.ndarray:
+        check_sample_size(n)
         return stream.random(n)
 
     def to_json(self) -> dict:

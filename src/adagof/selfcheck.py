@@ -4,8 +4,10 @@ Each check pits a production code path against an independent brute-force
 route: the pair-sum estimator against its literal double loop, the
 cosine-series statistic against a triple loop, the smooth test's Legendre
 recurrence against numpy's polynomial evaluation, the order-statistic KS
-formula against a dense sup scan, and the bulk replicate streams against
-``derive_stream``, that is numpy's own ``SeedSequence`` and ``PCG64``.
+formula against a dense sup scan, the lane blocks of replicate streams
+against ``derive_stream``, that is numpy's own ``SeedSequence`` and
+``PCG64``, and the samplers run over lane blocks against one call per
+replicate on ``derive_stream``.
 """
 
 from __future__ import annotations
@@ -16,8 +18,10 @@ from numpy.polynomial import legendre as npleg
 from .baselines import _legendre_colsums, bickel_ritov_statistic, ks_statistic
 from .bases import BasisFamily
 from .estimators import ModelIndex, theta_hat, theta_hat_naive
-from .null_models import Uniform01
-from .streams import derive_stream, replicate_streams
+from .alternatives import from_id
+from .calibration import draw_samples
+from .null_models import Gaussian, Uniform01
+from .streams import derive_stream, lane_blocks
 
 
 def _check_theta_pairsum(rng: np.random.Generator, cases: int = 200) -> tuple[bool, str]:
@@ -97,11 +101,32 @@ def _check_streams(rng: np.random.Generator, cases: int = 50) -> tuple[bool, str
     rows = mismatched = 0
     for i, (seed, start) in enumerate(pairs):
         label = f"selfcheck:{i}"
-        for r, stream in enumerate(replicate_streams(seed, label, start, start + 2), start):
+        bulk = np.concatenate([block.random(16) for block in lane_blocks(seed, label, start, start + 2)])
+        for r, row in enumerate(bulk, start):
             rows += 1
-            if not np.array_equal(stream.random(16), derive_stream(seed, label, r).random(16)):
+            if not np.array_equal(row, derive_stream(seed, label, r).random(16)):
                 mismatched += 1
-    return mismatched == 0, f"bulk replicate streams vs derive_stream: {mismatched} of {rows} rows differ"
+    return mismatched == 0, f"lane block streams vs derive_stream: {mismatched} of {rows} rows differ"
+
+
+def _check_lane_samplers(n: int = 20) -> tuple[bool, str]:
+    # a rejection id, a gamma mixture, a beta mixture and a Gaussian null, on
+    # replicates 0.. and 2**32 - 2.. (one entropy word, then two)
+    samplers = {
+        alt_id: lambda size, stream, sampler=from_id(alt_id).sampler: sampler(stream, size)
+        for alt_id in ("h:0.3,5", "exp:l:2,5,0.5", "g:2,2,0.8")
+    }
+    samplers["gaussian"] = Gaussian().sample
+    rows = mismatched = 0
+    for name, sample in samplers.items():
+        for start in (0, 2**32 - 2):
+            label = f"selfcheck:{name}"
+            bulk = draw_samples(sample, n, 1, label, start, start + 4)
+            for r, row in enumerate(bulk, start):
+                rows += 1
+                if not np.array_equal(row, sample(n, derive_stream(1, label, r))):
+                    mismatched += 1
+    return mismatched == 0, f"samplers on lane blocks vs one replicate at a time: {mismatched} of {rows} rows differ"
 
 
 def run_selfcheck(seed: int = 0) -> tuple[bool, list[str]]:
@@ -112,6 +137,7 @@ def run_selfcheck(seed: int = 0) -> tuple[bool, list[str]]:
         _check_legendre(rng),
         _check_ks(rng),
         _check_streams(rng),
+        _check_lane_samplers(),
     ]
     lines = [("PASS " if ok else "FAIL ") + msg for ok, msg in results]
     return all(ok for ok, _ in results), lines

@@ -5,22 +5,30 @@ derived from a ``(seed, label, replicate)`` triple.  Streams are therefore
 independent of scheduling: any partition of replicates across workers
 reproduces the same per-replicate draws.
 
-``derive_stream`` defines the bits.  ``replicate_streams`` yields the same
-streams for a whole replicate range at a fraction of the cost: the entropy
-words of ``(seed, label)`` come first and are shared by every replicate, so
-``SeedSequence``'s mixing of them runs once, and only the replicate word's
-mixing and ``generate_state`` run per replicate, as uint32 passes across a
-block of replicates.  PCG64's seeding then sets each replicate's state on one
-reused generator, so numpy itself still makes every draw.  This relies on
-numpy's ``SeedSequence`` and ``PCG64`` seeding algorithms, stable since numpy
-1.17 (NEP 19); ``tests/test_streams.py`` and ``adagof selfcheck`` compare the
-two routes.
+``derive_stream`` defines the bits.  ``lane_blocks`` gives the same streams
+for a whole replicate range at a fraction of the cost, as ``LaneBlock``s of
+at most ``_BLOCK`` replicates, one lane each.  The entropy words of ``(seed,
+label)`` come first and are shared by every replicate, so ``SeedSequence``'s
+mixing of them runs once, and only the replicate word's mixing and
+``generate_state`` run per replicate, as uint32 passes across a block of
+replicates.  PCG64's seeding then sets each lane's state on one reused
+generator, so numpy itself still makes every draw.  This relies on numpy's
+``SeedSequence`` and ``PCG64`` seeding algorithms, stable since numpy 1.17
+(NEP 19); ``tests/test_streams.py`` and ``adagof selfcheck`` compare the two
+routes.
+
+A sampler draws from a lane block as from a generator, except that
+``random`` takes one count per lane and returns one row per lane: each pass
+of a rejection or mixture sampler advances every lane of the block at once,
+and each lane consumes exactly the uniforms its own generator would.
+``as_lanes`` makes a plain generator a one-lane block.
 """
 
 from __future__ import annotations
 
 import hashlib
 from collections.abc import Iterator
+from itertools import islice
 
 import numpy as np
 
@@ -39,7 +47,10 @@ _MIX_MULT_R = 0x4973F715
 _POOL_SIZE = 4
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
-_BLOCK = 512  # replicates whose states one set of uint32 passes derives
+_BLOCK = 512  # replicates whose states one set of uint32 passes derives, and
+# the lanes of one lane block
+_GROWTH = 5  # a grown lane's prefix over its first draw: every catalog
+# sampler takes 1 to 5 uniforms per observation
 
 
 def _label_words(label: str) -> list[int]:
@@ -148,20 +159,90 @@ def _replicate_states(prefix: list[int], start: int, stop: int) -> Iterator[tupl
             yield ((inc + (a << 64 | b)) * _PCG64_MULT + inc) & _MASK128, inc
 
 
-def replicate_streams(
-    seed: int, label: str, start: int, stop: int
-) -> Iterator[np.random.Generator]:
-    """The streams ``derive_stream(seed, label, r)`` for ``r`` in ``range(start,
-    stop)``, in order, bit for bit.
+class LaneBlock:
+    """The uniform streams of a block of replicates, one lane each: lane ``i``
+    draws what the generator of its ``(state, inc)`` PCG64 seed would.
 
-    Every item is the same ``Generator``, reseeded in place before it is
-    yielded: draw from it before asking for the next one.
+    Each lane keeps a drawn prefix of its stream and a cursor into it.  A lane
+    asked for more than its prefix holds is drawn again from the start of its
+    stream, longer, so its bits do not depend on when it grew.
     """
-    bit_generator = np.random.PCG64(0)
-    stream = np.random.Generator(bit_generator)
-    # a fresh PCG64 holds no buffered half of a 64-bit output
-    value = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}
-    for state, inc in _replicate_states(_entropy_prefix(seed, label), start, stop):
-        value["state"] = {"state": state, "inc": inc}
-        bit_generator.state = value
-        yield stream
+
+    def __init__(self, states: list[tuple[int, int]]) -> None:
+        self.rows = len(states)
+        self._states = states
+        self._bit_generator = np.random.PCG64(0)
+        self._generator = np.random.Generator(self._bit_generator)
+        # lane i's prefix is _buffer[_offset[i] : _offset[i] + _drawn[i]]
+        self._buffer = np.empty(0)
+        self._offset = np.zeros(self.rows, dtype=np.intp)
+        self._drawn = np.zeros(self.rows, dtype=np.intp)
+        self._cursor = np.zeros(self.rows, dtype=np.intp)
+
+    def random(self, counts) -> np.ndarray:
+        """The next ``counts[i]`` uniforms of each lane ``i`` (an int draws as
+        many on every lane), as the rows of a ``(rows, max(counts))`` array.
+        A row shorter than the widest is padded with 0.5, a value every
+        sampler maps without warnings; the padding is no lane's draw."""
+        counts = np.broadcast_to(np.asarray(counts, dtype=np.intp), (self.rows,))
+        stop = self._cursor + counts
+        short = np.flatnonzero(stop > self._drawn)
+        if short.size:
+            self._extend(short, stop[short])
+        cols = np.arange(counts.max(initial=0))
+        index = (self._offset + self._cursor)[:, None] + cols
+        pad = cols >= counts[:, None]
+        index[pad] = 0
+        out = self._buffer.take(index)
+        out[pad] = 0.5
+        self._cursor = stop
+        return out
+
+    def _extend(self, lanes: np.ndarray, need: np.ndarray) -> None:
+        """Draw each of ``lanes`` again, from the start of its stream, to at
+        least ``need`` uniforms.  A lane's first draw is exactly its first
+        request (a null sampler's only one); after that it grows to
+        ``_GROWTH`` times its prefix, so a rejection or mixture sampler draws
+        most lanes twice."""
+        drawn = self._drawn[lanes]
+        size = np.where(drawn == 0, need, np.maximum(need, _GROWTH * drawn))
+        offset = self._buffer.size + np.cumsum(size) - size
+        buffer = np.empty(self._buffer.size + int(size.sum()))
+        buffer[: self._buffer.size] = self._buffer
+        value = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}
+        for lane, start, length in zip(lanes.tolist(), offset.tolist(), size.tolist()):
+            state, inc = self._states[lane]
+            value["state"] = {"state": state, "inc": inc}
+            self._bit_generator.state = value
+            self._generator.random(out=buffer[start : start + length])
+        self._buffer = buffer
+        self._offset[lanes] = offset
+        self._drawn[lanes] = size
+
+
+class _OneLane:
+    """A generator seen as a one-lane block."""
+
+    rows = 1
+
+    def __init__(self, generator: np.random.Generator) -> None:
+        self._generator = generator
+
+    def random(self, counts) -> np.ndarray:
+        return self._generator.random(int(np.max(counts)))[None, :]
+
+
+def as_lanes(stream):
+    """``stream`` as a lane block: a ``LaneBlock`` as it is, a generator as one
+    lane."""
+    return _OneLane(stream) if isinstance(stream, np.random.Generator) else stream
+
+
+def lane_blocks(seed: int, label: str, start: int, stop: int) -> Iterator[LaneBlock]:
+    """Lane blocks of at most ``_BLOCK`` replicates covering ``range(start,
+    stop)`` in order; lane ``i`` of a block starting at replicate ``first``
+    draws the uniforms of ``derive_stream(seed, label, first + i)``, bit for
+    bit."""
+    states = _replicate_states(_entropy_prefix(seed, label), start, stop)
+    while block := list(islice(states, _BLOCK)):
+        yield LaneBlock(block)

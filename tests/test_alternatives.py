@@ -1,4 +1,6 @@
+import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -26,9 +28,10 @@ from adagof.alternatives import (
     uniform_box,
     weibull_alt,
 )
+from adagof.calibration import draw_samples
 from adagof.errors import InvalidInputError
-from adagof.null_models import Exponential, Uniform01
-from adagof.streams import derive_stream
+from adagof.null_models import Exponential, Uniform01, null_from_spec
+from adagof.streams import _BLOCK, LaneBlock, derive_stream
 
 CATALOG_IDS = [
     "f:0.5,2", "f:0.7,4", "f:0.7,6",
@@ -217,3 +220,131 @@ def test_every_preset_row_resolves():
     assert len(ids) == 2 * 9 + 8 + 8 + 9
     for alt_id in ids:
         assert from_id(alt_id).sampler is not None
+
+
+@pytest.mark.parametrize("n", [2.5, True, 0, -3])
+def test_alt_sample_size_must_be_a_positive_integer(n):
+    with pytest.raises(InvalidInputError, match="sample size"):
+        alt_sample(from_id("f:0.5,2"), derive_stream(67, "size", 0), n)
+
+
+# ---------------------------------------------------------------------------
+# Lane blocks: every sampler over a block of replicate streams
+# ---------------------------------------------------------------------------
+
+# sha256 of draw_samples(sample, 100, 9, f"golden:{key}", 0, 300), recorded
+# when every sampler still drew one replicate at a time
+GOLDEN_DRAWS = {
+    "exp:g:4": "ef0558e7aadf3cc636ebcd4e0fb17f4d784d4ad22a0ece7c0f0e4ba1fd29fc87",
+    "exp:h:1": "d5bd1138bf7af8447c6e5eef7e47a94d480b64558c383543405d4ba0eefd21fd",
+    "exp:h:4": "314b0c8b01cf793ed08fa5ef8d59c54f7bb387638aa58b736f8f243f0319b5e8",
+    "exp:k:10,20,0.25": "34025c3fb6a40de7cf5267fdfde9846df45819148f0ff99d3bd135972ad99c13",
+    "exp:l:2,5,0.5": "6c42933345b12d65f27035dc9df38d769828c9bb658e6504cb8a912fc3e3cce9",
+    "exp:l:2,5,0.75": "c9c1c0d5e5b2d85f6800548e28c1dcdaa1c93fb2e8864b57fde1a14c01a21beb",
+    "exp:t": "82bb0fb8f017cf7fd18efb12ee48d02ccb146bc6ff8791c1d3240e380236d5bc",
+    "exp:v": "9d73f2e37d0ba9c53f00e075dad4062aa3571e24d758d6fa109313816e963e5a",
+    "exp:w": "9a7f8c792818501d891aac3c9d705d40193f7261a15d2eb2a44a4cb146306abe",
+    "f:0.5,2": "c314e23835f83d07cdff6fb9f28d856cbf4fcf2068d270b0868f42a17f195b8f",
+    "f:0.7,4": "aa343c0b12b12dec4d51aa1196439aec7af92851f719d20cd3cc40ae047ca873",
+    "f:0.7,6": "680fa4e10bed50af199ce02d8cf48852d5854bbad6bda4e5482dc0e67ac74d9e",
+    "g:10,20,0.25": "69e350a327cf98d2663aa0f17a114e2f48a9055715093a03740aa3f580be9538",
+    "g:2,2,0.8": "37b6f7f225dcfebfc2b87c0b342dd987b8e278d42dc8141df1ae3fe80fcac9a5",
+    "g:2,4,0.5": "1d5e49e356a0b6e0063a488c2fabdff35437ccdc557b2e7f40132d0e99ee72ec",
+    "g:3,3,0.5": "4c0299dcf9eb841e443fe94bd2b7db411884660178e792f44bc3aeb84962f1c9",
+    "h:0.3,5": "3d85342577495064260294404aa0ca64f26445fe00da24365c6d0442e12e5e28",
+    "h:0.4,2": "69138e55a868d752a1c645a864def88709d7b10c337dd33c159e3f62a7196eb6",
+    "norm:f:0.12": "da43d2507cb8757dd0d073cb9443635e39d61891d7f5dedf6a0af9870a90731e",
+    "norm:f:0.16": "3c9ceac802ce6b5d5c93a0797ebeb6cf49c98b9225e92bdf5c2b846e9260b30f",
+    "norm:f:0.17": "e400e7fe7bafbf6a4e604e2dddeb0fcb1b4d5f17208c114a23bea6b8c800d4d8",
+    "norm:f:1.2533141373155001": "ed706831554da8770f1c6c9b6539576c3fea2c95240e4cc40d6e0b7cafc170c9",
+    "norm:f:1.8": "1c37dd019e3cd96e0676bd934f15f105285490aae3f8b5700b84eefcc4166bc1",
+    "norm:f:2": "51d4997731d9a6db2d7cd065ecc5f429f5e4addc24934a62e0ffdbf8a6699fa6",
+    "norm:g:0.05,0.015": "134dc2d48e5de2a450c90dfd9e1639bc3e833c3f397c2d19adee99938674eff1",
+    "norm:g:0.05,0.02": "175f55c5f5c93bc2d908da71644e69af14d8941d8c52e817f0ee2ba519f853a3",
+    "norm:g:0.1,0.01": "54ba5e604504081cac9eb734408ab36b888b9519b4fc381dcfdf2b89fcb31f45",
+    "norm:g:0.5,2": "d7015a8276925f978f70f67c142df537ba25088c786a13ae88d61e7ba6d80a70",
+    "norm:g:1,1": "15d9201344d045461e9cc25a8875233f6469d8e9bbae8a75539f7a01b8c62ffb",
+    "norm:g:1,2": "6ab975a30ce68bd687ea0a91dc38bd3f322025ea9ea1abdfe25d8b9c302d2762",
+    "norm:h:0.5984134206021491": "7f010b1aae6f190a1f34e9837b3e37ae4f150dd47e9eca1bc7ab7353a8157776",
+    "norm:h:0.7978845608028654": "dc3e13fb4e2b35d2a0d11ed19e2b003204d5b4adc7eea6faa04a403d92a554dc",
+    "norm:h:5.984134206021491": "facb036b6d82278c724d03dc1cae0f0b6b9bdb3a35d78f831d8a49eaeb727fad",
+    "norm:h:7.978845608028655": "dbd80cd5024184bbaa76331fca64f2714b0b3e23463bda5b0c56f08d4cf682aa",
+    "uniform": "e693688c3136e2907b2d5e9d29552d06ea67a509340faeadc39a1c4552c298bc",
+    "exponential": "97251200323baf1fb124988866b00c572c9a4ec1041aecb8ae2f09f4d96d2167",
+    "gaussian:0,1": "a780c3eb788eb8ea22244a726bf8ecafe3d2ddeb6013647017b132518996c369",
+    "gaussian:0,0.1": "3fbbdec061174a13e0c98c7db94ef9ca53e6d55fc82e4698e64fd7a746bd88dc",
+}
+
+
+def _draw_function(key):
+    """``sample(n, stream)`` of a null spec or an alternative id."""
+    if key in ("uniform", "exponential") or key.startswith("gaussian"):
+        return null_from_spec(key).sample
+    sampler = from_id(key).sampler
+    return lambda size, stream: sampler(stream, size)
+
+
+def test_golden_ids_cover_every_preset_row_and_null():
+    from adagof.harness import _PRESETS
+
+    ids = {alt_id for blocks in _PRESETS.values() for _, _, rows, _ in blocks for _, alt_id, _ in rows}
+    nulls = {null for blocks in _PRESETS.values() for null, *_ in blocks}
+    assert set(GOLDEN_DRAWS) == ids | nulls
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN_DRAWS))
+def test_lane_draws_match_golden_digest(key):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # padding maps without warnings
+        draws = draw_samples(_draw_function(key), 100, 9, f"golden:{key}", 0, 300)
+    assert draws.shape == (300, 100)
+    assert hashlib.sha256(draws.tobytes()).hexdigest() == GOLDEN_DRAWS[key]
+
+
+# a rejection id, a beta mixture, a gamma mixture with the shape boost, an
+# exponential/rejection mixture, a pure gamma, an inverse transform, two nulls
+LANE_KEYS = [
+    "h:0.3,5", "g:2,2,0.8", "exp:l:0.5,1,0.5", "exp:g:4", "exp:v", "norm:g:1,1",
+    "uniform", "gaussian:0.3,2",
+]
+
+
+@pytest.mark.parametrize("key", LANE_KEYS)
+@pytest.mark.parametrize(
+    "start, stop, n",
+    [
+        (0, _BLOCK + 3, 4),  # crosses a block boundary
+        (_BLOCK // 2 + 1, _BLOCK // 2 + 12, 30),  # starts mid-block
+        (2**32 - 2, 2**32 + 2, 1),  # one entropy word, then two; n = 1
+    ],
+)
+def test_lane_rows_equal_one_lane_generator_calls(key, start, stop, n):
+    sample = _draw_function(key)
+    draws = draw_samples(sample, n, 21, f"lanes:{key}", start, stop)
+    assert draws.shape == (stop - start, n)
+    for r, row in zip(range(start, stop), draws):
+        np.testing.assert_array_equal(row, sample(n, derive_stream(21, f"lanes:{key}", r)))
+
+
+@pytest.mark.parametrize("key", LANE_KEYS)
+def test_empty_range_draws_nothing(key):
+    assert draw_samples(_draw_function(key), 10, 21, "empty", 7, 7).shape == (0, 10)
+
+
+def test_lanes_that_outgrow_their_prefix_more_than_once(monkeypatch):
+    grown = {}
+    extend = LaneBlock._extend
+
+    def counted(self, lanes, need):
+        for lane in lanes.tolist():
+            grown[lane] = grown.get(lane, 0) + 1
+        extend(self, lanes, need)
+
+    monkeypatch.setattr(LaneBlock, "_extend", counted)
+    # n = 1: each lane's first draw is one uniform, the rejection pass needs more
+    sample = _draw_function("h:0.3,5")
+    draws = draw_samples(sample, 1, 22, "grow", 0, 200)
+    assert max(grown.values()) >= 3
+    for r, row in enumerate(draws):
+        np.testing.assert_array_equal(row, sample(1, derive_stream(22, "grow", r)))
+

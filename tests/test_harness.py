@@ -284,7 +284,7 @@ class TestCli:
         rc = cli_main(["selfcheck"])
         out = capsys.readouterr().out
         assert rc == 0
-        assert out.count("PASS") == 5
+        assert out.count("PASS") == 6
 
 
 _MALFORMED_CLI = {
@@ -359,6 +359,7 @@ def test_config_field_of_the_wrong_json_type_exits_2_naming_it(field, doc, tmp_p
         ("reps_power", {"reps_power": 100.5}),
         ("reps_level", {"reps_level": 100.5}),
         ("calib", {"calib": [100.5, 100]}),
+        ("seed", {"seed": 7.9}),
     ],
 )
 def test_non_integer_size_or_budget_in_config_exits_2_naming_it(field, doc, tmp_path, capsys):

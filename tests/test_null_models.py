@@ -97,6 +97,12 @@ class TestSampling:
         b = Gaussian(0.0, 1.0).sample(16, derive_stream(5, "s", 3))
         np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("d", ALL_NULLS, ids=lambda d: d.name)
+    @pytest.mark.parametrize("n", [2.5, True, 0, -1])
+    def test_sample_size_must_be_a_positive_integer(self, d, n):
+        with pytest.raises(InvalidInputError, match="sample size"):
+            d.sample(n, derive_stream(5, "size", 0))
+
 
 class TestTransformToUniform:
     def test_uniform_identity(self):

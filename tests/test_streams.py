@@ -1,7 +1,8 @@
-"""The bulk replicate streams against their definition, ``derive_stream``.
+"""The lane blocks of replicate streams against their definition,
+``derive_stream``.
 
-``replicate_streams`` re-implements numpy's ``SeedSequence`` mixing and
-PCG64 seeding; these tests fail if a numpy release changes either algorithm.
+``lane_blocks`` re-implements numpy's ``SeedSequence`` mixing and PCG64
+seeding; these tests fail if a numpy release changes either algorithm.
 """
 
 import numpy as np
@@ -10,13 +11,13 @@ import pytest
 from adagof.alternatives import from_id
 from adagof.calibration import draw_samples
 from adagof.null_models import Exponential, Uniform01
-from adagof.streams import _BLOCK, _MASK64, _replicate_states, derive_stream, replicate_streams
+from adagof.streams import _BLOCK, _MASK64, _replicate_states, derive_stream, lane_blocks
 
 K = 7
 
 
 def _bulk_rows(seed, label, start, stop, k=K):
-    return [stream.random(k) for stream in replicate_streams(seed, label, start, stop)]
+    return [row for block in lane_blocks(seed, label, start, stop) for row in block.random(k)]
 
 
 def _assert_rows_match(seed, label, start, stop):
@@ -76,11 +77,17 @@ def test_states_match_seed_sequence(prefix):
             assert (state, inc) == (expected["state"], expected["inc"]), (prefix, r)
 
 
-def test_reused_generator_carries_no_buffered_word():
-    # float32 draws consume half a 64-bit output and buffer the other half
-    bulk = [s.random(3, dtype=np.float32) for s in replicate_streams(4, "f32", 0, 4)]
-    for r, row in enumerate(bulk):
-        np.testing.assert_array_equal(row, derive_stream(4, "f32", r).random(3, dtype=np.float32))
+def test_ragged_counts_draw_each_lane_in_order():
+    block = next(lane_blocks(23, "ragged", 0, 4))
+    rows = [block.random([2, 0, 5, 1]), block.random(3), block.random([0, 9, 0, 2])]
+    assert [r.shape for r in rows] == [(4, 5), (4, 3), (4, 9)]
+    counts = [[2, 0, 5, 1], [3, 3, 3, 3], [0, 9, 0, 2]]
+    for lane in range(4):
+        got = np.concatenate([r[lane, : c[lane]] for r, c in zip(rows, counts)])
+        np.testing.assert_array_equal(got, derive_stream(23, "ragged", lane).random(got.size))
+        # the padding of a short row is 0.5, never a draw
+        for r, c in zip(rows, counts):
+            assert np.all(r[lane, c[lane] :] == 0.5)
 
 
 def _reference_samples(sample, n, seed, label, start, stop):
