@@ -10,6 +10,14 @@ the remaining families use inverse transforms.
 Specs are addressable by string id, e.g. ``f:0.5,2``, ``g:10,20,0.25``,
 ``norm:g:1,1``, ``exp:k:10,20,0.25``.
 
+The catalog holds one copy of each sampling step: one accept-reject loop
+(``_accept_reject``, behind the constant-envelope rejection and
+Marsaglia-Tsang), one ``1 + bump`` density on [0, 1] (``_contaminated_unit``:
+``f:``, ``h:`` and the unit half of ``exp:g:``/``exp:h:``), one two-part
+mixture fill (``_fill``), the exponential null's own pdf and quantile, the
+Legendre recurrence of :func:`adagof.bases.legendre_polys`, and one id
+format (``_spec``), from the parameter types ``from_id`` parses.
+
 A sampler draws from a generator or from a lane block of replicate streams
 (:mod:`adagof.streams`), with one implementation for both: a generator is a
 one-lane block.  Inverse transforms are elementwise and take a block's
@@ -29,18 +37,20 @@ never need it.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
+from .bases import legendre_polys
 from .errors import InvalidInputError, parse_fields
-from .null_models import NullDensity, check_sample_size
+from .null_models import _TINY, Exponential, NullDensity, Uniform01, check_sample_size
 from .null_models import _unit_uniforms as _unit
 from .streams import LaneBlock, as_lanes
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
-_TINY = np.nextafter(0.0, 1.0)
+_EXP = Exponential()
 
 
 def _lanes(stream, n):
@@ -74,14 +84,46 @@ def _import_special() -> None:
 
 
 def _lanewise(draw):
-    """A spec sampler from ``draw(lanes, n)``, which returns a ``(rows, n)``
-    array: a lane block gets every row, a generator its one row."""
+    """A spec sampler from ``draw(lanes, n)``, which returns the ``rows * n``
+    draws of a block, flat or as rows: a lane block gets every row, a
+    generator its one row."""
 
     def sampler(stream, n):
-        out = draw(as_lanes(stream), n)
+        lanes = as_lanes(stream)
+        out = draw(lanes, n).reshape(lanes.rows, n)
         return out if isinstance(stream, LaneBlock) else out[0]
 
     return sampler
+
+
+def _accept_reject(stream, n, propose):
+    """Accept-reject over lanes: ``n`` draws, or on a lane block ``n`` per lane
+    (one count per lane allowed), lane after lane.  ``propose(lanes, k)``
+    draws ``k[i]`` candidates on lane ``i``, on rows padded to the widest
+    lane, and returns them with their acceptance mask; each lane keeps its
+    accepted candidates in order until it has its draws.  Returns (draws,
+    number of proposals)."""
+    lanes, want = _lanes(stream, n)
+    out = np.empty((lanes.rows, want.max(initial=0)))
+    filled = np.zeros(lanes.rows, dtype=np.intp)
+    proposals = 0
+    while (k := want - filled).any():
+        x, ok = propose(lanes, k)
+        proposals += int(k.sum())
+        filled = _append(out, filled, x, ok & (np.arange(ok.shape[1]) < k[:, None]))
+    return _flat(out, want), proposals
+
+
+def _fill(lanes, mask: np.ndarray, first, second) -> np.ndarray:
+    """The ``(rows, n)`` draws of a two-part mixture: the entries ``mask``
+    marks from ``first(lanes, counts)``, then the others from
+    ``second(lanes, counts)``.  Each part takes one count per lane and
+    returns its draws flat, lane after lane."""
+    counts = mask.sum(axis=1)
+    out = np.empty(mask.shape)
+    out[mask] = first(lanes, counts)
+    out[~mask] = second(lanes, mask.shape[1] - counts)
+    return out
 
 
 @dataclass(frozen=True)
@@ -151,16 +193,15 @@ def gamma_sample(stream, shape: float, n) -> np.ndarray:
 
     d = shape - 1.0 / 3.0
     c = 1.0 / math.sqrt(9.0 * d)
-    out = np.empty((lanes.rows, want.max(initial=0)))
-    filled = np.zeros(lanes.rows, dtype=np.intp)
-    while (k := want - filled).any():
+
+    def propose(lanes, k):
         z = special.ndtri(_unit(lanes, k))
         u = _unit(lanes, k)
         v = (1.0 + c * z) ** 3
         ok = (v > 0.0) & (np.log(u) < 0.5 * z * z + d - d * v + d * np.log(np.maximum(v, _TINY)))
-        ok &= np.arange(ok.shape[1]) < k[:, None]
-        filled = _append(out, filled, d * v, ok)
-    return _flat(out, want)
+        return d * v, ok
+
+    return _accept_reject(lanes, want, propose)[0]
 
 
 # The samplers call gamma_sample under this name: perfbench/tracing.py wraps
@@ -204,28 +245,67 @@ def _rejection_unit_counted(stream, n, pdf: Callable[[np.ndarray], np.ndarray], 
     on a lane block ``n`` per lane (one count per lane allowed), lane after
     lane.  Returns (draws, number of proposals) so acceptance rates can be
     audited."""
-    lanes, want = _lanes(stream, n)
-    out = np.empty((lanes.rows, want.max(initial=0)))
-    filled = np.zeros(lanes.rows, dtype=np.intp)
-    proposals = 0
-    while (k := want - filled).any():
+
+    def propose(lanes, k):
         x = _unit(lanes, k)
-        v = lanes.random(k)
-        proposals += int(k.sum())
-        ok = (v * envelope <= pdf(x)) & (np.arange(x.shape[1]) < k[:, None])
-        filled = _append(out, filled, x, ok)
-    return _flat(out, want), proposals
+        return x, lanes.random(k) * envelope <= pdf(x)
+
+    return _accept_reject(stream, n, propose)
 
 
-def _legendre_poly(j: int, x: np.ndarray) -> np.ndarray:
-    t = 2.0 * np.asarray(x, dtype=float) - 1.0
-    p_prev = np.ones_like(t)
-    if j == 0:
-        return p_prev
-    p_cur = t
-    for k in range(1, j):
-        p_prev, p_cur = p_cur, ((2 * k + 1) * t * p_cur - k * p_prev) / (k + 1)
-    return p_cur
+def _contaminated_unit(bump: Callable, envelope: float, closed: bool = True):
+    """``(pdf, draw)`` of the density ``1 + bump(x)`` on [0, 1], where the
+    bump integrates to 0 and ``1 + bump <= envelope``: ``draw(lanes,
+    counts)`` samples it by rejection, flat, lane after lane.  The pdf
+    includes the edges 0 and 1 when ``closed``, and excludes them
+    otherwise."""
+
+    def pdf(x):
+        inside = (x >= 0.0) & (x <= 1.0) if closed else (x > 0.0) & (x < 1.0)
+        return np.where(inside, 1.0 + bump(np.where(inside, x, 0.5)), 0.0)
+
+    def draw(lanes, counts):
+        return _rejection_unit_counted(lanes, counts, lambda x: 1.0 + bump(x), envelope)[0]
+
+    return pdf, draw
+
+
+def _beta_part(p: float, q: float):
+    """``(pdf, draw)`` of Beta(p, q), a mixture part."""
+    if not (p > 0.0 and q > 0.0):
+        raise InvalidInputError("beta parameters must be positive")
+    return (lambda x: beta_pdf(x, p, q)), (lambda lanes, counts: beta_sample(lanes, p, q, counts))
+
+
+_UNIFORM_PART = (Uniform01().pdf, lambda lanes, counts: _flat(lanes.random(counts), counts))
+
+
+def _exp_part(lanes, counts: np.ndarray) -> np.ndarray:
+    """Unit exponential draws by inversion, ``counts[i]`` on lane ``i``, lane
+    after lane."""
+    return _flat(_EXP._quantile(_unit(lanes, counts)), counts)
+
+
+_EXP_PART = (_EXP.pdf, _exp_part)
+
+
+def _mixture(prefix: str, params: dict, base, part, eps: float, support, quad_window) -> AlternativeSpec:
+    """``(1 - eps) base + eps part`` for ``(pdf, draw)`` pairs: an entry is
+    from ``part`` where its lane's uniform falls below ``eps``, and the base
+    entries are drawn first."""
+    if not 0.0 <= eps <= 1.0:
+        raise InvalidInputError("mixture weight must lie in [0, 1]")
+    (base_pdf, base_draw), (part_pdf, part_draw) = base, part
+
+    def pdf(x):
+        return (1.0 - eps) * base_pdf(x) + eps * part_pdf(x)
+
+    @_lanewise
+    def sampler(lanes, n):
+        _import_special()
+        return _fill(lanes, lanes.random(n) >= eps, base_draw, part_draw)
+
+    return _spec(prefix, params, pdf, sampler, support, quad_window)
 
 
 # ---------------------------------------------------------------------------
@@ -239,54 +319,14 @@ def cosine_contamination(rho: float, j: int) -> AlternativeSpec:
         raise InvalidInputError("rho must lie in (0, 1] for a nonnegative density")
     if j < 1:
         raise InvalidInputError("frequency j must be >= 1")
-
-    def pdf(x):
-        inside = (x >= 0.0) & (x <= 1.0)
-        return np.where(inside, 1.0 + rho * np.cos(j * np.pi * x), 0.0)
-
-    @_lanewise
-    def sampler(lanes, n):
-        draws, _ = _rejection_unit_counted(
-            lanes, n, lambda x: 1.0 + rho * np.cos(j * np.pi * x), 1.0 + rho
-        )
-        return draws.reshape(lanes.rows, n)
-
-    return AlternativeSpec(
-        id=f"f:{rho:g},{j:d}",
-        pdf=pdf,
-        sampler=sampler,
-        support=(0.0, 1.0),
-        params={"rho": rho, "j": j},
-    )
+    pdf, draw = _contaminated_unit(lambda x: rho * np.cos(j * np.pi * x), 1.0 + rho)
+    return _spec("f", {"rho": rho, "j": j}, pdf, _lanewise(draw), (0.0, 1.0))
 
 
 def beta_mixture(p: float, q: float, eps: float) -> AlternativeSpec:
     """``(1 - eps) + eps * beta_{p,q}(x)`` on [0, 1]."""
-    if not (p > 0.0 and q > 0.0):
-        raise InvalidInputError("beta parameters must be positive")
-    if not 0.0 <= eps <= 1.0:
-        raise InvalidInputError("mixture weight must lie in [0, 1]")
-
-    def pdf(x):
-        inside = (x >= 0.0) & (x <= 1.0)
-        return np.where(inside, (1.0 - eps) + eps * beta_pdf(x, p, q), 0.0)
-
-    @_lanewise
-    def sampler(lanes, n):
-        _import_special()
-        pick = lanes.random(n) < eps
-        n_beta = pick.sum(axis=1)
-        out = np.empty(pick.shape)
-        out[~pick] = _flat(lanes.random(n - n_beta), n - n_beta)
-        out[pick] = beta_sample(lanes, p, q, n_beta)
-        return out
-
-    return AlternativeSpec(
-        id=f"g:{p:g},{q:g},{eps:g}",
-        pdf=pdf,
-        sampler=sampler,
-        support=(0.0, 1.0),
-        params={"p": p, "q": q, "eps": eps},
+    return _mixture(
+        "g", {"p": p, "q": q, "eps": eps}, _UNIFORM_PART, _beta_part(p, q), eps, (0.0, 1.0), (0.0, 1.0)
     )
 
 
@@ -298,25 +338,11 @@ def legendre_contamination(rho: float, j: int) -> AlternativeSpec:
     if not 0.0 < rho * amp <= 1.0:
         raise InvalidInputError("rho * sqrt(2 j + 1) must lie in (0, 1] for a density")
 
-    def raw(x):
-        return 1.0 + rho * amp * _legendre_poly(j, x)
+    def bump(x):
+        return rho * amp * deque(legendre_polys(x, j), maxlen=1)[0]
 
-    def pdf(x):
-        inside = (x >= 0.0) & (x <= 1.0)
-        return np.where(inside, raw(np.where(inside, x, 0.5)), 0.0)
-
-    @_lanewise
-    def sampler(lanes, n):
-        draws, _ = _rejection_unit_counted(lanes, n, raw, 1.0 + rho * amp)
-        return draws.reshape(lanes.rows, n)
-
-    return AlternativeSpec(
-        id=f"h:{rho:g},{j:d}",
-        pdf=pdf,
-        sampler=sampler,
-        support=(0.0, 1.0),
-        params={"rho": rho, "j": j},
-    )
+    pdf, draw = _contaminated_unit(bump, 1.0 + rho * amp)
+    return _spec("h", {"rho": rho, "j": j}, pdf, _lanewise(draw), (0.0, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -335,14 +361,7 @@ def uniform_box(m: float) -> AlternativeSpec:
     def sampler(stream, n):
         return -m + 2.0 * m * stream.random(n)
 
-    return AlternativeSpec(
-        id=f"norm:f:{m:g}",
-        pdf=pdf,
-        sampler=sampler,
-        support=(-m, m),
-        params={"m": m},
-        quad_window=(-m, m),
-    )
+    return _spec("norm:f", {"m": m}, pdf, sampler, (-m, m), (-m, m))
 
 
 def gaussian_location_mixture(m: float, var: float) -> AlternativeSpec:
@@ -364,14 +383,7 @@ def gaussian_location_mixture(m: float, var: float) -> AlternativeSpec:
         return centre + sd * special.ndtri(_unit(stream, n))
 
     w = abs(m) + 8.0 * sd
-    return AlternativeSpec(
-        id=f"norm:g:{m:g},{var:g}",
-        pdf=pdf,
-        sampler=sampler,
-        support=(-math.inf, math.inf),
-        params={"m": m, "var": var},
-        quad_window=(-w, w),
-    )
+    return _spec("norm:g", {"m": m, "var": var}, pdf, sampler, (-math.inf, math.inf), (-w, w))
 
 
 def double_exponential(p: float) -> AlternativeSpec:
@@ -391,14 +403,7 @@ def double_exponential(p: float) -> AlternativeSpec:
         return out
 
     w = 40.0 / p
-    return AlternativeSpec(
-        id=f"norm:h:{p:g}",
-        pdf=pdf,
-        sampler=sampler,
-        support=(-math.inf, math.inf),
-        params={"p": p},
-        quad_window=(-w, w),
-    )
+    return _spec("norm:h", {"p": p}, pdf, sampler, (-math.inf, math.inf), (-w, w))
 
 
 # ---------------------------------------------------------------------------
@@ -406,86 +411,37 @@ def double_exponential(p: float) -> AlternativeSpec:
 # ---------------------------------------------------------------------------
 
 
-def _exp_part(lanes, counts: np.ndarray) -> np.ndarray:
-    """Unit exponential draws by inversion, ``counts[i]`` on lane ``i``, lane
-    after lane."""
-    return _flat(-np.log1p(-_unit(lanes, counts)), counts)
-
-
-def _half_exp_half_unit(label: str, bump: Callable, params: dict) -> AlternativeSpec:
+def _half_exp_half_unit(prefix: str, params: dict, bump: Callable) -> AlternativeSpec:
     """``(exp(-x) + (1 + bump(x)) 1_(0,1))/2`` where the bump integrates to 0."""
+    unit_pdf, unit_draw = _contaminated_unit(bump, 2.0, closed=False)
 
     def pdf(x):
-        x = np.asarray(x, dtype=float)
-        base = np.where(x >= 0.0, np.exp(-np.maximum(x, 0.0)), 0.0)
-        unit = np.where((x > 0.0) & (x < 1.0), 1.0 + bump(x), 0.0)
-        return 0.5 * (base + unit)
+        return 0.5 * (_EXP.pdf(x) + unit_pdf(x))
 
     @_lanewise
     def sampler(lanes, n):
-        pick = lanes.random(n) < 0.5
-        n_exp = pick.sum(axis=1)
-        out = np.empty(pick.shape)
-        out[pick] = _exp_part(lanes, n_exp)
-        draws, _ = _rejection_unit_counted(lanes, n - n_exp, lambda x: 1.0 + bump(x), 2.0)
-        out[~pick] = draws
-        return out
+        return _fill(lanes, lanes.random(n) < 0.5, _exp_part, unit_draw)
 
-    return AlternativeSpec(
-        id=label,
-        pdf=pdf,
-        sampler=sampler,
-        support=(0.0, math.inf),
-        params=params,
-        quad_window=(0.0, 40.0),
-    )
+    return _spec(prefix, params, pdf, sampler, (0.0, math.inf), (0.0, 40.0))
 
 
 def exp_sine_bump(p: int) -> AlternativeSpec:
     if p < 2 or p % 2 != 0:
         raise InvalidInputError("sine bump frequency must be a positive even integer")
-    return _half_exp_half_unit(
-        f"exp:g:{p:d}", lambda x: np.sin(p * np.pi * x), {"p": p}
-    )
+    return _half_exp_half_unit("exp:g", {"p": p}, lambda x: np.sin(p * np.pi * x))
 
 
 def exp_cosine_bump(p: int) -> AlternativeSpec:
     if p < 1:
         raise InvalidInputError("cosine bump frequency must be a positive integer")
-    return _half_exp_half_unit(
-        f"exp:h:{p:d}", lambda x: np.cos(p * np.pi * x), {"p": p}
-    )
+    return _half_exp_half_unit("exp:h", {"p": p}, lambda x: np.cos(p * np.pi * x))
 
 
 def exp_beta_mixture(p: float, q: float, eps: float) -> AlternativeSpec:
     """``(1 - eps) exp(-x) + eps beta_{p,q}(x)``."""
-    if not (p > 0.0 and q > 0.0):
-        raise InvalidInputError("beta parameters must be positive")
-    if not 0.0 <= eps <= 1.0:
-        raise InvalidInputError("mixture weight must lie in [0, 1]")
-
-    def pdf(x):
-        x = np.asarray(x, dtype=float)
-        base = np.where(x >= 0.0, np.exp(-np.maximum(x, 0.0)), 0.0)
-        return (1.0 - eps) * base + eps * beta_pdf(x, p, q)
-
-    @_lanewise
-    def sampler(lanes, n):
-        _import_special()
-        pick = lanes.random(n) < eps
-        n_beta = pick.sum(axis=1)
-        out = np.empty(pick.shape)
-        out[~pick] = _exp_part(lanes, n - n_beta)
-        out[pick] = beta_sample(lanes, p, q, n_beta)
-        return out
-
-    return AlternativeSpec(
-        id=f"exp:k:{p:g},{q:g},{eps:g}",
-        pdf=pdf,
-        sampler=sampler,
-        support=(0.0, math.inf),
-        params={"p": p, "q": q, "eps": eps},
-        quad_window=(0.0, 40.0),
+    return _mixture(
+        "exp:k", {"p": p, "q": q, "eps": eps}, _EXP_PART, _beta_part(p, q), eps,
+        (0.0, math.inf), (0.0, 40.0),
     )
 
 
@@ -493,31 +449,10 @@ def exp_gamma_mixture(p: float, q: float, eps: float) -> AlternativeSpec:
     """``(1 - eps) exp(-x) + eps gamma_{p,q}(x)`` with shape p and rate q."""
     if not (p > 0.0 and q > 0.0):
         raise InvalidInputError("gamma parameters must be positive")
-    if not 0.0 <= eps <= 1.0:
-        raise InvalidInputError("mixture weight must lie in [0, 1]")
-
-    def pdf(x):
-        x = np.asarray(x, dtype=float)
-        base = np.where(x >= 0.0, np.exp(-np.maximum(x, 0.0)), 0.0)
-        return (1.0 - eps) * base + eps * gamma_pdf(x, p, q)
-
-    @_lanewise
-    def sampler(lanes, n):
-        _import_special()
-        pick = lanes.random(n) < eps
-        n_gamma = pick.sum(axis=1)
-        out = np.empty(pick.shape)
-        out[~pick] = _exp_part(lanes, n - n_gamma)
-        out[pick] = _gamma(lanes, p, n_gamma) / q
-        return out
-
-    return AlternativeSpec(
-        id=f"exp:l:{p:g},{q:g},{eps:g}",
-        pdf=pdf,
-        sampler=sampler,
-        support=(0.0, math.inf),
-        params={"p": p, "q": q, "eps": eps},
-        quad_window=(0.0, max(40.0, 30.0 * p / q)),
+    gamma_part = (lambda x: gamma_pdf(x, p, q)), (lambda lanes, counts: _gamma(lanes, p, counts) / q)
+    return _mixture(
+        "exp:l", {"p": p, "q": q, "eps": eps}, _EXP_PART, gamma_part, eps,
+        (0.0, math.inf), (0.0, max(40.0, 30.0 * p / q)),
     )
 
 
@@ -534,14 +469,7 @@ def lognormal_alt() -> AlternativeSpec:
 
         return np.exp(special.ndtri(_unit(stream, n)))
 
-    return AlternativeSpec(
-        id="exp:t",
-        pdf=pdf,
-        sampler=sampler,
-        support=(0.0, math.inf),
-        params={},
-        quad_window=(0.0, 1200.0),
-    )
+    return _spec("exp:t", {}, pdf, sampler, (0.0, math.inf), (0.0, 1200.0))
 
 
 def chi2_three_alt() -> AlternativeSpec:
@@ -552,16 +480,9 @@ def chi2_three_alt() -> AlternativeSpec:
 
     @_lanewise
     def sampler(lanes, n):
-        return 2.0 * _gamma(lanes, 1.5, n).reshape(lanes.rows, n)
+        return 2.0 * _gamma(lanes, 1.5, n)
 
-    return AlternativeSpec(
-        id="exp:v",
-        pdf=pdf,
-        sampler=sampler,
-        support=(0.0, math.inf),
-        params={},
-        quad_window=(0.0, 80.0),
-    )
+    return _spec("exp:v", {}, pdf, sampler, (0.0, math.inf), (0.0, 80.0))
 
 
 def weibull_alt() -> AlternativeSpec:
@@ -571,19 +492,12 @@ def weibull_alt() -> AlternativeSpec:
         x = np.asarray(x, dtype=float)
         inside = x > 0.0
         xv = np.where(inside, x, 1.0)
-        return np.where(inside, 1.5 * np.sqrt(xv) * np.exp(-(xv**1.5)), 0.0)
+        return np.where(inside, 1.5 * np.sqrt(xv) * _EXP.pdf(xv**1.5), 0.0)
 
     def sampler(stream, n):
-        return (-np.log1p(-_unit(stream, n))) ** (2.0 / 3.0)
+        return _EXP._quantile(_unit(stream, n)) ** (2.0 / 3.0)
 
-    return AlternativeSpec(
-        id="exp:w",
-        pdf=pdf,
-        sampler=sampler,
-        support=(0.0, math.inf),
-        params={},
-        quad_window=(0.0, 20.0),
-    )
+    return _spec("exp:w", {}, pdf, sampler, (0.0, math.inf), (0.0, 20.0))
 
 
 # ---------------------------------------------------------------------------
@@ -608,6 +522,16 @@ _CATALOG = {
     "exp:v": (chi2_three_alt, ()),
     "exp:w": (weibull_alt, ()),
 }
+
+
+def _spec(prefix, params, pdf, sampler, support, quad_window=(0.0, 1.0)) -> AlternativeSpec:
+    """The catalog entry with id ``prefix:v1,...``, the parameters in the
+    order ``from_id`` parses them: integers print with ``d``, floats with
+    ``g`` (six significant digits)."""
+    types = _CATALOG[prefix][1]
+    values = ",".join(format(v, "d" if t is int else "g") for v, t in zip(params.values(), types))
+    alt_id = f"{prefix}:{values}" if types else prefix
+    return AlternativeSpec(alt_id, pdf, sampler, support, params, quad_window)
 
 
 def from_id(alt_id: str) -> AlternativeSpec:

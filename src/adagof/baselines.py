@@ -16,6 +16,7 @@ from enum import Enum
 
 import numpy as np
 
+from .bases import legendre_polys
 from .calibration import draw_samples, threshold_matrix
 from .errors import BudgetTooSmallError, InvalidInputError, SupportViolationError
 from .estimators import _checked_rows, _row, scale_free_ratios
@@ -137,16 +138,10 @@ def bickel_ritov_statistic_batch(samples: np.ndarray, d_of_n: int) -> np.ndarray
 
 
 def _legendre_colsums(x: np.ndarray, dmax: int) -> np.ndarray:
-    """(dmax, B) matrix of ``sum_i phi_l(x_i)`` for l = 1..dmax, by recurrence."""
-    t = 2.0 * x - 1.0
-    p_prev = np.ones_like(t)
-    p_cur = t
-    out = np.empty((dmax, x.shape[0]))
-    out[0] = math.sqrt(3.0) * p_cur.sum(axis=1)
-    for l in range(2, dmax + 1):
-        p_prev, p_cur = p_cur, ((2 * l - 1) * t * p_cur - (l - 1) * p_prev) / l
-        out[l - 1] = math.sqrt(2 * l + 1) * p_cur.sum(axis=1)
-    return out
+    """(dmax, B) matrix of ``sum_i phi_l(x_i)`` for l = 1..dmax."""
+    polys = legendre_polys(x, dmax)
+    next(polys)  # P_0 = 1
+    return np.array([math.sqrt(2 * l + 1) * p.sum(axis=1) for l, p in enumerate(polys, 1)])
 
 
 def kallenberg_ledwina_statistic_batch(

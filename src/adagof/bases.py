@@ -12,6 +12,11 @@ Two families:
 The statistic kernels in :mod:`adagof.estimators` evaluate these directly;
 :func:`basis_sums` and :func:`bin_counts` expose the per-function sums of
 one sample.
+
+:func:`legendre_polys` is the one three-term recurrence for the shifted
+Legendre polynomials on [0, 1]: the Kallenberg-Ledwina smooth test scores
+with them (:mod:`adagof.baselines`) and the ``h:`` alternatives perturb the
+uniform with one of them (:mod:`adagof.alternatives`).
 """
 
 from __future__ import annotations
@@ -83,6 +88,21 @@ def fourier_eval(l: int, x):
         p = l // 2
         out = _SQRT2 * np.sin(2.0 * np.pi * p * xa)
     return out if out.ndim else float(out)
+
+
+def legendre_polys(x, dmax: int):
+    """Yield the shifted Legendre polynomials ``P_l(2x - 1)`` at ``x`` for
+    ``l = 0, ..., dmax``, in order, by the recurrence ``l P_l(t) = (2l - 1) t
+    P_{l-1}(t) - (l - 1) P_{l-2}(t)``.  They are orthogonal on [0, 1] with
+    squared norm ``1 / (2l + 1)``, so ``sqrt(2l + 1) P_l`` has unit norm.  Only
+    the last two are kept at a time."""
+    t = 2.0 * np.asarray(x, dtype=float) - 1.0
+    p_prev, p_cur = np.ones_like(t), t
+    yield p_prev
+    for l in range(1, dmax + 1):
+        if l > 1:
+            p_prev, p_cur = p_cur, ((2 * l - 1) * t * p_cur - (l - 1) * p_prev) / l
+        yield p_cur
 
 
 def basis_sums(

@@ -25,6 +25,8 @@ from .errors import (
     BudgetTooSmallError,
     CalibrationFailureError,
     InvalidInputError,
+    _json_field,
+    _json_value,
     invalid_input,
 )
 from .estimators import (
@@ -199,6 +201,11 @@ def select_u_alpha(
     return float(u[ok[-1]]), levels
 
 
+def _json_floats(doc: dict, key: str) -> np.ndarray:
+    """The JSON list of numbers ``doc[key]`` as a float array."""
+    return np.array([_json_value(v, float, key) for v in _json_field(doc, key, list)], dtype=float)
+
+
 def _basis_family(name: str) -> BasisFamily:
     with invalid_input("unknown basis family"):
         return BasisFamily(name)
@@ -236,6 +243,10 @@ class CalibrationTable:
             raise InvalidInputError(f"u_alpha {self.u_alpha!r} is not on the u grid")
         if not np.array_equal(self.thresholds_at_u_alpha, self.thresholds[:, on_grid[0]]):
             raise InvalidInputError("thresholds_at_u_alpha is not the u_alpha column of thresholds")
+        if np.shape(self.level_curve) != (u.size,):
+            raise InvalidInputError(
+                f"level_curve must hold one entry per grid point ({u.size}), got {np.size(self.level_curve)}"
+            )
 
     def to_json(self) -> dict:
         doc = {
@@ -263,21 +274,23 @@ class CalibrationTable:
             if doc["schema_version"] != SCHEMA_VERSION:
                 raise InvalidInputError(f"unsupported schema {doc['schema_version']!r}")
             models = tuple(
-                ModelIndex(_basis_family(m["family"]), int(m["degree"])) for m in doc["models"]
+                ModelIndex(_basis_family(m["family"]), _json_field(m, "degree", int, name="models.degree"))
+                for m in doc["models"]
             )
+            budgets = _json_field(doc, "budgets", list)
             return cls(
                 statistic_kind=StatisticKind(doc["statistic_kind"]),
                 null=null_from_json(doc["null"]),
-                n=int(doc["n"]),
-                alpha=float(doc["alpha"]),
+                n=_json_field(doc, "n", int),
+                alpha=_json_field(doc, "alpha", float),
                 models=models,
-                u_grid=np.asarray(doc["u_grid"], dtype=float),
-                thresholds=np.asarray(doc["thresholds"], dtype=float).reshape(len(models), -1),
-                u_alpha=float(doc["u_alpha"]),
-                thresholds_at_u_alpha=np.asarray(doc["thresholds_at_u_alpha"], dtype=float),
-                level_curve=np.asarray(doc["level_curve"], dtype=float),
-                budgets=(int(doc["budgets"][0]), int(doc["budgets"][1])),
-                seed=int(doc["seed"]),
+                u_grid=_json_floats(doc, "u_grid"),
+                thresholds=_json_floats(doc, "thresholds").reshape(len(models), -1),
+                u_alpha=_json_field(doc, "u_alpha", float),
+                thresholds_at_u_alpha=_json_floats(doc, "thresholds_at_u_alpha"),
+                level_curve=_json_floats(doc, "level_curve"),
+                budgets=(_json_value(budgets[0], int, "budgets"), _json_value(budgets[1], int, "budgets")),
+                seed=_json_field(doc, "seed", int),
                 policy=ScaleSearchPolicy.from_json(doc["policy"]) if "policy" in doc else None,
             )
 

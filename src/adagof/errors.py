@@ -72,3 +72,30 @@ def parse_fields(text: str, types: tuple, what: str) -> list:
         raise InvalidInputError(f"{what} takes {len(types)} comma-separated parameters, got {text!r}")
     with invalid_input(what):
         return [t(p) for t, p in zip(types, parts)]
+
+
+_REQUIRED = object()
+
+
+def _json_value(value, kind: type, name: str):
+    """``value`` when it has the JSON type ``kind``, else an input error naming
+    the field ``name``, so a string is not split into characters or added to
+    a number and a fraction is not truncated.  An ``int`` is not a bool; a
+    ``float`` may be written as an integer and comes back as a float; a
+    ``list`` comes back as a tuple."""
+    if not isinstance(value, (int, float) if kind is float else kind) or isinstance(value, bool):
+        raise InvalidInputError(f"{name} must be a JSON {kind.__name__}, got {value!r}")
+    if kind is list:
+        return tuple(value)
+    return float(value) if kind is float else value
+
+
+def _json_field(doc: dict, key: str, kind: type, default=_REQUIRED, name: str | None = None):
+    """``doc[key]`` checked by ``_json_value``.  With a ``default``, that is
+    returned when the field is absent or null; without one, an absent field
+    raises KeyError, which ``invalid_input`` reports as missing."""
+    if default is _REQUIRED:
+        value = doc[key]
+    elif (value := doc.get(key)) is None:
+        return default
+    return _json_value(value, kind, name or key)

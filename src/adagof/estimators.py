@@ -49,6 +49,7 @@ from .errors import (
     InsufficientSampleError,
     InvalidInputError,
     SupportViolationError,
+    _json_field,
 )
 from .null_models import NullDensity
 
@@ -124,8 +125,11 @@ class ScaleSearchPolicy:
 
     @classmethod
     def from_json(cls, doc: dict) -> "ScaleSearchPolicy":
-        # each field converted to the type of its default
-        return cls(**{k: type(v)(doc[k]) for k, v in dataclasses.asdict(cls()).items()})
+        # each field of its default's JSON type
+        return cls(**{
+            k: _json_field(doc, k, type(v), name=f"policy.{k}")
+            for k, v in dataclasses.asdict(cls()).items()
+        })
 
 
 class ScaleSearchResult(NamedTuple):

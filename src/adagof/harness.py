@@ -36,6 +36,7 @@ from .errors import (
     CalibrationMissingError,
     InvalidInputError,
     TableMismatchError,
+    _json_field,
     invalid_input,
 )
 from .estimators import (
@@ -130,18 +131,6 @@ _BASELINE = {
 }
 
 
-def _json_field(doc: dict, key: str, kind: type, default, name: str | None = None):
-    """``doc[key]``, ``default`` when absent or null; a list comes back as a
-    tuple.  A value of another JSON type is an input error naming the field,
-    so a string is not split into characters or added to a number."""
-    value = doc.get(key)
-    if value is None:
-        return default
-    if not isinstance(value, kind) or isinstance(value, bool):
-        raise InvalidInputError(f"{name or key} must be a JSON {kind.__name__}, got {value!r}")
-    return tuple(value) if kind is list else value
-
-
 @dataclass(frozen=True)
 class ModelParams:
     d_tr: int | None = None
@@ -202,7 +191,7 @@ class ExperimentConfig:
                 test=TestKind(doc["test"]),
                 null=str(doc["null"]),
                 n=_json_field(doc, "n", int, None),
-                alpha=float(doc.get("alpha", 0.05)),
+                alpha=_json_field(doc, "alpha", float, 0.05),
                 model_params=ModelParams.from_json(doc.get("model_params", {})),
                 alternatives=_json_field(doc, "alternatives", list, ()),
                 reps_power=_json_field(doc, "reps_power", int, 5000),

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, _json_field
 
 _TINY = np.nextafter(0.0, 1.0)
 
@@ -220,11 +220,16 @@ def null_from_spec(spec: str) -> NullDensity:
 
 
 def null_from_json(doc: dict) -> NullDensity:
+    if not isinstance(doc, dict):
+        raise InvalidInputError(f"null must be a JSON object, got {doc!r}")
     family = doc.get("family")
     if family == "uniform":
         return Uniform01()
     if family == "exponential":
         return Exponential()
     if family == "gaussian":
-        return Gaussian(mean=float(doc["mean"]), sd=float(doc["sd"]))
+        return Gaussian(
+            mean=_json_field(doc, "mean", float, name="null.mean"),
+            sd=_json_field(doc, "sd", float, name="null.sd"),
+        )
     raise InvalidInputError(f"unknown null density document {doc!r}")

@@ -348,3 +348,68 @@ def test_lanes_that_outgrow_their_prefix_more_than_once(monkeypatch):
     for r, row in enumerate(draws):
         np.testing.assert_array_equal(row, sample(1, derive_stream(22, "grow", r)))
 
+
+
+# sha256 of draw_samples(sample, 100, 9, f"golden:{key}", 0, 300), recorded at
+# the commit before the catalog's sampling steps were shared, for branches no
+# preset row reaches: the gamma shape boost inside a mixture, beta shapes
+# below one, a beta part on the exponential, and m = 0
+GOLDEN_BRANCH_DRAWS = {
+    "exp:l:0.5,1,0.5": "ebfee27488cdef59f02d385dad9290df25493d20939a3bb1ade6531229150516",
+    "g:0.5,0.7,0.6": "997ad1b61185146c372b79a2001f6e02193a678ffebabd9c017812b86b84989b",
+    "exp:k:0.8,3,0.4": "094e00cf63230cf08d88bbef40f14142fb6cdecd2e6adc3bf3d0d6fc599b3ed5",
+    "norm:g:0,1": "9d3fa074e3785c454fca77c983a5b26fac36dd6943a55caaa67cc3cc820a56c7",
+}
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN_BRANCH_DRAWS))
+def test_branch_draws_match_golden_digest(key):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        draws = draw_samples(_draw_function(key), 100, 9, f"golden:{key}", 0, 300)
+    assert hashlib.sha256(draws.tobytes()).hexdigest() == GOLDEN_BRANCH_DRAWS[key]
+
+
+@pytest.mark.parametrize(
+    "spec, alt_id",
+    [
+        (cosine_contamination(0.5, 2), "f:0.5,2"),
+        (beta_mixture(10, 20, 0.25), "g:10,20,0.25"),
+        (legendre_contamination(0.3, 5), "h:0.3,5"),
+        (uniform_box(2), "norm:f:2"),
+        (gaussian_location_mixture(0.05, 0.015), "norm:g:0.05,0.015"),
+        (gaussian_location_mixture(0, 1), "norm:g:0,1"),
+        # floats print with six significant digits
+        (double_exponential(math.sqrt(2.0 / math.pi)), "norm:h:0.797885"),
+        (exp_sine_bump(4), "exp:g:4"),
+        (exp_cosine_bump(1), "exp:h:1"),
+        (exp_beta_mixture(10, 20, 0.25), "exp:k:10,20,0.25"),
+        (exp_gamma_mixture(2, 5, 0.75), "exp:l:2,5,0.75"),
+        (lognormal_alt(), "exp:t"),
+        (chi2_three_alt(), "exp:v"),
+        (weibull_alt(), "exp:w"),
+    ],
+)
+def test_constructor_ids_are_catalog_ids(spec, alt_id):
+    assert spec.id == alt_id
+    assert from_id(spec.id).id == spec.id
+
+
+@pytest.mark.parametrize(
+    "alt_id, at_zero, at_one",
+    [
+        # the uniformity alternatives include both edges
+        ("f:0.5,2", 1.5, 1.5),
+        ("h:0.3,5", 0.005012562893380146, 1.9949874371066199),
+        ("h:0.4,2", 1.894427190999916, 1.894427190999916),
+        # the unit half of an exponential mixture excludes both: exp(-x) / 2
+        ("exp:g:4", 0.5, 0.18393972058572117),
+        ("exp:h:1", 0.5, 0.18393972058572117),
+        ("exp:h:4", 0.5, 0.18393972058572117),
+    ],
+)
+def test_pdf_at_support_edges(alt_id, at_zero, at_one):
+    spec = from_id(alt_id)
+    assert float(alt_pdf(spec, 0.0)) == at_zero
+    assert float(alt_pdf(spec, 1.0)) == at_one
+    np.testing.assert_array_equal(alt_pdf(spec, np.array([0.0, 1.0])), [at_zero, at_one])

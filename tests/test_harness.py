@@ -372,3 +372,46 @@ def test_non_integer_size_or_budget_in_config_exits_2_naming_it(field, doc, tmp_
     path.write_text(json.dumps(config), encoding="utf-8")
     assert cli_main(["power", "--config", str(path), "--build-missing"]) == 2
     assert f"{field} must be" in capsys.readouterr().err
+
+
+_POLICY = {"relative_span": 10.0, "coarse_points": 257, "refine_rounds": 1, "refine_factor": 8}
+
+
+@pytest.mark.parametrize(
+    "field, change",
+    [
+        ("null", {"null": "uniform"}),
+        ("null", {"null": None}),
+        ("null.mean", {"null": {"family": "gaussian", "mean": "0", "sd": 1}}),
+        ("n", {"n": 20.7}),
+        ("n", {"n": True}),
+        ("models.degree", {"models": [{"family": "fourier", "degree": 1.9}]}),
+        ("seed", {"seed": 7.9}),
+        ("budgets", {"budgets": [600.5, 600]}),
+        ("alpha", {"alpha": "0.05"}),
+        ("level_curve", {"level_curve": [0.0]}),
+        ("level_curve", lambda doc: {"level_curve": [False] * len(doc["u_grid"])}),
+        ("thresholds", lambda doc: {"thresholds": [str(v) for v in doc["thresholds"]]}),
+        ("policy.coarse_points", {"policy": dict(_POLICY, coarse_points=257.5)}),
+    ],
+)
+def test_table_field_of_the_wrong_json_type_exits_2_naming_it(field, change, tmp_path, capsys, tiny_table):
+    doc = tiny_table.to_json()
+    doc.update(change(doc) if callable(change) else change)
+    if field == "models.degree":  # one model, so one threshold row
+        doc["thresholds"] = doc["thresholds"][: len(doc["u_grid"])]
+        doc["thresholds_at_u_alpha"] = doc["thresholds_at_u_alpha"][:1]
+    table_path = tmp_path / "table.json"
+    table_path.write_text(json.dumps(doc), encoding="utf-8")
+    data_path = tmp_path / "data.txt"
+    data_path.write_text("\n".join(str((i + 0.5) / 25) for i in range(25)), encoding="utf-8")
+    assert cli_main(["test", "--calib", str(table_path), "--data", str(data_path)]) == 2
+    assert f"{field} must" in capsys.readouterr().err
+
+
+def test_config_alpha_given_as_a_string_exits_2_naming_it(tmp_path, capsys):
+    config = {"test": "ks", "null": "uniform", "n": 25, "alpha": "0.05", "reps_power": 100, "reps_level": 100}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    assert cli_main(["power", "--config", str(path), "--build-missing"]) == 2
+    assert "alpha must be a JSON float" in capsys.readouterr().err
