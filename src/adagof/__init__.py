@@ -29,6 +29,7 @@ from .calibration import (
     CalibrationTable,
     StatisticKind,
     calibrate,
+    calibrate_collections,
     estimate_thresholds,
     select_u_alpha,
 )

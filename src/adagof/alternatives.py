@@ -524,12 +524,20 @@ _CATALOG = {
 }
 
 
+def _id_value(v, kind: type) -> str:
+    """A parameter as ``from_id`` parses it back: integers with ``d``, floats
+    with ``g`` when its six significant digits hold the value, else ``repr``."""
+    if kind is int:
+        return format(v, "d")
+    short = format(v, "g")
+    return short if float(short) == v else repr(float(v))
+
+
 def _spec(prefix, params, pdf, sampler, support, quad_window=(0.0, 1.0)) -> AlternativeSpec:
     """The catalog entry with id ``prefix:v1,...``, the parameters in the
-    order ``from_id`` parses them: integers print with ``d``, floats with
-    ``g`` (six significant digits)."""
+    order ``from_id`` parses them."""
     types = _CATALOG[prefix][1]
-    values = ",".join(format(v, "d" if t is int else "g") for v, t in zip(params.values(), types))
+    values = ",".join(_id_value(v, t) for v, t in zip(params.values(), types))
     alt_id = f"{prefix}:{values}" if types else prefix
     return AlternativeSpec(alt_id, pdf, sampler, support, params, quad_window)
 

@@ -6,6 +6,13 @@ fresh batch and picks the largest grid u whose sup-test exceeds its
 thresholds with frequency at most alpha.  The same machinery calibrates the
 composite scale-invariant statistic; only the statistic kind changes.
 
+Collections calibrated under the same null, sample size, budgets, seed and
+statistic draw the same null samples, so :func:`calibrate_collections`
+simulates each stage once on the union of their models and hands every
+table its own columns.  A statistic column depends only on its own model,
+so each table is bit for bit the one a separate :func:`calibrate` builds;
+:func:`calibrate` is the one-collection case.
+
 Quantiles are the order statistic of rank ``ceil((1 - u) B)`` (1-indexed,
 ascending) -- no interpolation, which never understates a threshold.
 """
@@ -146,10 +153,18 @@ def estimate_thresholds(
     label: str = "calib:thresholds",
 ) -> np.ndarray:
     """Simulate B1 null replicates and return the (model, u) threshold matrix."""
-    if B1 < 100:
-        raise BudgetTooSmallError(f"threshold budget must be >= 100, got {B1}")
+    _check_budget(B1, "threshold")
     u = _validate_u_grid(u_grid)
     stats = simulate_null_stats(d, models, n, B1, statistic_kind, seed, label, policy, workers)
+    return _thresholds(stats, u)
+
+
+def _check_budget(budget: int, stage: str) -> None:
+    if budget < 100:
+        raise BudgetTooSmallError(f"{stage} budget must be >= 100, got {budget}")
+
+
+def _thresholds(stats: np.ndarray, u: np.ndarray) -> np.ndarray:
     thresholds = threshold_matrix(stats, u)
     # rank is nonincreasing in u, so each row must be nonincreasing
     assert np.all(np.diff(thresholds, axis=1) <= 0.0)
@@ -185,10 +200,15 @@ def select_u_alpha(
     The fresh batch must come from a stream independent of the threshold
     batch (distinct label or seed).
     """
-    if B2 < 100:
-        raise BudgetTooSmallError(f"level budget must be >= 100, got {B2}")
+    _check_budget(B2, "level")
     u = _validate_u_grid(u_grid)
     stats = simulate_null_stats(d, models, n, B2, statistic_kind, seed, label, policy, workers)
+    return _u_alpha(stats, thresholds, u, alpha)
+
+
+def _u_alpha(
+    stats: np.ndarray, thresholds: np.ndarray, u: np.ndarray, alpha: float
+) -> tuple[float, np.ndarray]:
     levels = level_curve_from_stats(stats, thresholds)
     assert np.all(np.diff(levels) >= 0.0)
     ok = np.nonzero(levels <= alpha)[0]
@@ -278,6 +298,10 @@ class CalibrationTable:
                 for m in doc["models"]
             )
             budgets = _json_field(doc, "budgets", list)
+            if len(budgets) != 2:
+                raise InvalidInputError(
+                    f"budgets length {len(budgets)} is out of range: expected two integers (B1, B2)"
+                )
             return cls(
                 statistic_kind=StatisticKind(doc["statistic_kind"]),
                 null=null_from_json(doc["null"]),
@@ -319,33 +343,65 @@ def calibrate(
     workers: int = 1,
 ) -> CalibrationTable:
     """Full two-stage calibration on the regular u grid ``{j alpha / size}``."""
+    return calibrate_collections(
+        d, [models], n, alpha, B1, B2, u_grid_size, statistic_kind, seed, policy, workers
+    )[0]
+
+
+def calibrate_collections(
+    d: NullDensity,
+    collections,
+    n: int,
+    alpha: float = 0.05,
+    B1: int = 20_000,
+    B2: int = 20_000,
+    u_grid_size: int = 100,
+    statistic_kind: StatisticKind = StatisticKind.SIMPLE,
+    seed: int = 0,
+    policy: ScaleSearchPolicy | None = None,
+    workers: int = 1,
+) -> list[CalibrationTable]:
+    """:func:`calibrate` for each model collection, from one null draw per stage.
+
+    Each stage simulates the pinned-order union of the collections once; a
+    table takes its own columns of that matrix for its thresholds, level
+    curve and u_alpha, which equal those of its own simulation bit for bit.
+    A collection that fails to calibrate fails the whole call.
+    """
     if not 0.0 < alpha < 1.0:
         raise InvalidInputError(f"alpha must lie in (0, 1), got {alpha}")
     if u_grid_size < 1:
         raise InvalidInputError("u grid size must be >= 1")
-    ordered = pinned_order(models)
+    _check_budget(B1, "threshold")
+    _check_budget(B2, "level")
+    ordered = [pinned_order(models) for models in collections]
+    union = pinned_order(set().union(*ordered))
     if statistic_kind is StatisticKind.COMPOSITE_INVARIANT and policy is None:
         policy = ScaleSearchPolicy()
     u_grid = alpha * np.arange(1, u_grid_size + 1) / u_grid_size
-    thresholds = estimate_thresholds(
-        d, ordered, n, B1, u_grid, statistic_kind, seed, policy, workers
-    )
-    u_alpha, levels = select_u_alpha(
-        d, ordered, n, B2, thresholds, u_grid, alpha, seed, statistic_kind, policy, workers
-    )
-    idx = int(np.nonzero(u_grid == u_alpha)[0][0])
-    return CalibrationTable(
-        statistic_kind=statistic_kind,
-        null=d,
-        n=n,
-        alpha=alpha,
-        models=tuple(ordered),
-        u_grid=u_grid,
-        thresholds=thresholds,
-        u_alpha=u_alpha,
-        thresholds_at_u_alpha=thresholds[:, idx].copy(),
-        level_curve=levels,
-        budgets=(B1, B2),
-        seed=seed,
-        policy=policy if statistic_kind is StatisticKind.COMPOSITE_INVARIANT else None,
-    )
+    stage_stats = [
+        simulate_null_stats(d, union, n, B, statistic_kind, seed, label, policy, workers)
+        for B, label in ((B1, "calib:thresholds"), (B2, "calib:level"))
+    ]
+    tables = []
+    for models in ordered:
+        columns = [union.index(m) for m in models]
+        thresholds = _thresholds(stage_stats[0][:, columns], u_grid)
+        u_alpha, levels = _u_alpha(stage_stats[1][:, columns], thresholds, u_grid, alpha)
+        idx = int(np.nonzero(u_grid == u_alpha)[0][0])
+        tables.append(CalibrationTable(
+            statistic_kind=statistic_kind,
+            null=d,
+            n=n,
+            alpha=alpha,
+            models=tuple(models),
+            u_grid=u_grid,
+            thresholds=thresholds,
+            u_alpha=u_alpha,
+            thresholds_at_u_alpha=thresholds[:, idx].copy(),
+            level_curve=levels,
+            budgets=(B1, B2),
+            seed=seed,
+            policy=policy if statistic_kind is StatisticKind.COMPOSITE_INVARIANT else None,
+        ))
+    return tables

@@ -4,6 +4,15 @@ the built-in benchmark presets T1-T4, seeding discipline, and CSV emission.
 Every replicate draws from a stream derived from ``(seed, label, replicate)``
 (see :mod:`adagof.streams`), and cross-replicate aggregation is integer
 counting, so reports are byte-identical for any worker count.
+
+Each statistic matrix is computed once per draw.  A preset block's adaptive
+tables that share a null, statistic and search policy are calibrated
+together (:func:`~adagof.calibration.calibrate_collections`, cached in
+``_cached_calibrate``).  Each power or level batch takes the null-cdf
+transform once and one ``simple_stats_batch`` per (table null, input) over
+the union of those tables' models; every column reads its own slice, which
+equals its own statistic bit for bit because a column depends only on its
+model.
 """
 
 from __future__ import annotations
@@ -28,7 +37,7 @@ from .bases import BasisFamily
 from .calibration import (
     CalibrationTable,
     StatisticKind,
-    calibrate,
+    calibrate_collections,
     draw_samples,
     map_replicates,
 )
@@ -43,12 +52,14 @@ from .estimators import (
     ModelIndex,
     ScaleSearchPolicy,
     composite_scale_stats_batch,
+    pinned_order,
     simple_stats_batch,
 )
 from .null_models import NullDensity, null_from_spec, transform_to_uniform
 from .streams import derive_stream
 
 # Imported only so that perfbench/tracing.py can wrap them at this import site.
+from .calibration import calibrate  # noqa: F401
 from .baselines import (  # noqa: F401
     bickel_ritov_statistic_batch,
     kallenberg_ledwina_statistic_batch,
@@ -257,37 +268,53 @@ class PowerReport:
 # ---------------------------------------------------------------------------
 
 
-def _column_decisions(col: TestColumn, samples: np.ndarray, null: NullDensity) -> np.ndarray:
-    """Boolean rejection vector of one test column on a batch of samples.
-
-    The uniformity-based procedures (trigonometric, mixed, cosine-series,
-    smooth, and plain KS) act on the null-cdf transform of the data, which
-    is the identity when the null itself is uniform.
-    """
-    if col.kind in (TestKind.TTR, TestKind.TTR_CT, TestKind.KS, TestKind.BR, TestKind.KL):
-        samples = transform_to_uniform(null, samples)
-    if col.baseline is not None:
-        b = col.baseline
-        return baseline_statistics(b.kind, samples, b.d_of_n) > b.critical_value
-    table = col.table
-    if table.statistic_kind is StatisticKind.SIMPLE:
-        stats = simple_stats_batch(samples, table.models, table.null)
-    else:
-        stats = composite_scale_stats_batch(samples, table.models, table.null, table.policy)
-    return (stats > table.thresholds_at_u_alpha[None, :]).any(axis=1)
+# Tests that act on the null-cdf transform of the data, which is the identity
+# when the null itself is uniform: the trigonometric, mixed, cosine-series,
+# smooth and plain KS procedures.
+_ON_TRANSFORM = frozenset({TestKind.TTR, TestKind.TTR_CT, TestKind.KS, TestKind.BR, TestKind.KL})
 
 
 def _decision_chunk(null, alt_id, n, columns, seed, label, start, stop) -> np.ndarray:
+    """Rejection counts of each test column on replicates ``start .. stop - 1``.
+
+    The batch is drawn and transformed once.  The simple-statistic columns
+    read their columns of one ``simple_stats_batch`` per (table null, input)
+    over the union of those tables' models; these run after the other
+    kernels, so no union matrix is held while another kernel runs.
+    """
     if alt_id is None:
         sample = null.sample
     else:
         sampler = from_id(alt_id).sampler
         sample = lambda size, stream: sampler(stream, size)  # noqa: E731
     samples = draw_samples(sample, n, seed, label, start, stop)
-    return np.array(
-        [int(_column_decisions(col, samples, null).sum()) for col in columns],
-        dtype=np.int64,
-    )
+    inputs = {False: samples}
+    if any(col.kind in _ON_TRANSFORM for col in columns):
+        inputs[True] = transform_to_uniform(null, samples)
+    counts = np.zeros(len(columns), dtype=np.int64)
+    unions: dict[tuple, list[int]] = {}
+    for k, col in enumerate(columns):
+        x = inputs[col.kind in _ON_TRANSFORM]
+        b, table = col.baseline, col.table
+        if b is not None:
+            counts[k] = np.sum(baseline_statistics(b.kind, x, b.d_of_n) > b.critical_value)
+        elif table.statistic_kind is StatisticKind.SIMPLE:
+            unions.setdefault((table.null, col.kind in _ON_TRANSFORM), []).append(k)
+        else:
+            stats = composite_scale_stats_batch(x, table.models, table.null, table.policy)
+            counts[k] = _rejections(stats, table)
+    for (d, on_transform), members in unions.items():
+        ordered = pinned_order({m for k in members for m in columns[k].table.models})
+        stats = simple_stats_batch(inputs[on_transform], ordered, d)
+        for k in members:
+            table = columns[k].table
+            counts[k] = _rejections(stats[:, [ordered.index(m) for m in table.models]], table)
+    return counts
+
+
+def _rejections(stats: np.ndarray, table: CalibrationTable) -> int:
+    """Rows where some model's statistic exceeds its threshold at u_alpha."""
+    return int(np.sum((stats > table.thresholds_at_u_alpha[None, :]).any(axis=1)))
 
 
 def rejection_counts(
@@ -339,7 +366,7 @@ def _run_block(null, rows, columns, n, reps_power, reps_level, seed, workers) ->
 @lru_cache(maxsize=64)
 def _cached_calibrate(
     d: NullDensity,
-    models: tuple[ModelIndex, ...],
+    collections: tuple[tuple[ModelIndex, ...], ...],
     n: int,
     alpha: float,
     B1: int,
@@ -348,11 +375,12 @@ def _cached_calibrate(
     seed: int,
     policy: ScaleSearchPolicy | None,
     workers: int,
-) -> CalibrationTable:
-    return calibrate(
-        d, list(models), n, alpha, B1, B2,
+) -> tuple[CalibrationTable, ...]:
+    """One table per model collection, all from one null draw per stage."""
+    return tuple(calibrate_collections(
+        d, collections, n, alpha, B1, B2,
         statistic_kind=kind, seed=seed, policy=policy, workers=workers,
-    )
+    ))
 
 
 @lru_cache(maxsize=64)
@@ -413,8 +441,8 @@ def build_column(
                 + _calibrate_hint(config)
             )
         B1, B2 = config.calib
-        calibration = _cached_calibrate(
-            null_from_spec(null), tuple(models),
+        (calibration,) = _cached_calibrate(
+            null_from_spec(null), (tuple(models),),
             config.n, config.alpha, B1, B2, kind, config.seed, policy, workers,
         )
     if policy is not None and calibration.policy != policy:
@@ -545,15 +573,24 @@ _PRESETS = {
 
 
 def _preset_columns(null, n, columns, alpha, B, seed, workers) -> list[TestColumn]:
+    """A block's test columns.  The adaptive tables that share a null,
+    statistic and policy are calibrated in one ``_cached_calibrate`` call."""
+    configs = [
+        ExperimentConfig(test, null, n, alpha, params, calib=(B, B), seed=seed)
+        for _, test, params in columns
+    ]
+    specs = {k: _adaptive_table_spec(c) for k, c in enumerate(configs) if c.test in _ADAPTIVE}
+    groups: dict[tuple, list[int]] = {}
+    for k, (table_null, _, kind, policy) in specs.items():
+        groups.setdefault((null_from_spec(table_null), kind, policy), []).append(k)
+    tables = {}
+    for (d, kind, policy), members in groups.items():
+        collections = tuple(tuple(specs[k][1]) for k in members)
+        group = _cached_calibrate(d, collections, n, alpha, B, B, kind, seed, policy, workers)
+        tables.update(zip(members, group))
     return [
-        dataclasses.replace(
-            build_column(
-                ExperimentConfig(test, null, n, alpha, params, calib=(B, B), seed=seed),
-                workers=workers, build_missing=True,
-            ),
-            name=name,
-        )
-        for name, test, params in columns
+        dataclasses.replace(build_column(config, tables.get(k), workers), name=name)
+        for k, ((name, _, _), config) in enumerate(zip(columns, configs))
     ]
 
 

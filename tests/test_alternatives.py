@@ -4,9 +4,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from adagof.alternatives import (
+    _CATALOG,
     _rejection_unit_counted,
     alt_l2_distance_sq,
     alt_pdf,
@@ -379,8 +382,8 @@ def test_branch_draws_match_golden_digest(key):
         (uniform_box(2), "norm:f:2"),
         (gaussian_location_mixture(0.05, 0.015), "norm:g:0.05,0.015"),
         (gaussian_location_mixture(0, 1), "norm:g:0,1"),
-        # floats print with six significant digits
-        (double_exponential(math.sqrt(2.0 / math.pi)), "norm:h:0.797885"),
+        # a float that six significant digits do not hold prints in full
+        (double_exponential(math.sqrt(2.0 / math.pi)), "norm:h:0.7978845608028654"),
         (exp_sine_bump(4), "exp:g:4"),
         (exp_cosine_bump(1), "exp:h:1"),
         (exp_beta_mixture(10, 20, 0.25), "exp:k:10,20,0.25"),
@@ -393,6 +396,51 @@ def test_branch_draws_match_golden_digest(key):
 def test_constructor_ids_are_catalog_ids(spec, alt_id):
     assert spec.id == alt_id
     assert from_id(spec.id).id == spec.id
+
+
+_POSITIVE = st.floats(min_value=0.0, max_value=1e6, exclude_min=True)
+_WEIGHT = st.floats(min_value=0.0, max_value=1.0)
+
+
+def _legendre_params(j):
+    # rho * sqrt(2 j + 1) must lie in (0, 1]
+    top = math.nextafter(1.0 / math.sqrt(2 * j + 1), 0.0)
+    return st.tuples(st.floats(min_value=0.0, max_value=top, exclude_min=True), st.just(j))
+
+
+# Catalog prefix -> strategy of valid constructor parameters.
+_VALID_PARAMS = {
+    "f": st.tuples(st.floats(min_value=0.0, max_value=1.0, exclude_min=True), st.integers(1, 10**6)),
+    "g": st.tuples(_POSITIVE, _POSITIVE, _WEIGHT),
+    "h": st.integers(1, 10**4).flatmap(_legendre_params),
+    "norm:f": st.tuples(_POSITIVE),
+    "norm:g": st.tuples(st.floats(min_value=-1e6, max_value=1e6), _POSITIVE),
+    "norm:h": st.tuples(_POSITIVE),
+    "exp:g": st.tuples(st.integers(1, 10**6).map(lambda k: 2 * k)),
+    "exp:h": st.tuples(st.integers(1, 10**6)),
+    "exp:k": st.tuples(_POSITIVE, _POSITIVE, _WEIGHT),
+    "exp:l": st.tuples(_POSITIVE, _POSITIVE, _WEIGHT),
+    "exp:t": st.just(()),
+    "exp:v": st.just(()),
+    "exp:w": st.just(()),
+}
+
+
+def test_every_catalog_prefix_has_a_parameter_strategy():
+    assert set(_VALID_PARAMS) == set(_CATALOG)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(_VALID_PARAMS)).flatmap(
+    lambda prefix: st.tuples(st.just(prefix), _VALID_PARAMS[prefix])
+))
+def test_id_resolves_to_the_same_parameters(case):
+    prefix, params = case
+    spec = _CATALOG[prefix][0](*params)
+    assert spec.id.startswith(prefix)
+    back = from_id(spec.id)
+    assert back.params == spec.params
+    assert back.id == spec.id
 
 
 @pytest.mark.parametrize(

@@ -1,13 +1,18 @@
 import copy
+import dataclasses
+import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adagof.bases import BasisFamily
 from adagof.calibration import (
     CalibrationTable,
     StatisticKind,
     calibrate,
+    calibrate_collections,
     estimate_thresholds,
     level_curve_from_stats,
     select_u_alpha,
@@ -19,7 +24,7 @@ from adagof.errors import (
     InvalidInputError,
 )
 from adagof.estimators import ModelIndex, ScaleSearchPolicy
-from adagof.null_models import Exponential, Uniform01
+from adagof.null_models import Exponential, Gaussian, Uniform01
 
 PW = BasisFamily.PIECEWISE_CONSTANT
 FOURIER = BasisFamily.FOURIER
@@ -222,3 +227,78 @@ def test_table_schema_defects_are_input_errors(table_doc, defect, match):
     defect(doc)
     with pytest.raises(InvalidInputError, match=match):
         CalibrationTable.from_json(doc)
+
+
+def test_table_with_more_than_two_budgets_is_an_input_error(table_doc):
+    doc = copy.deepcopy(table_doc)
+    doc["budgets"] = [200, 200, 7]
+    with pytest.raises(InvalidInputError, match="budgets length 3 is out of range"):
+        CalibrationTable.from_json(doc)
+
+
+def _assert_same_fields(got, want):
+    for field in dataclasses.fields(want):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        assert type(a) is type(b), field.name
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and np.array_equal(a, b), field.name
+        else:
+            assert a == b, field.name
+
+
+def _json_round_trip(obj):
+    return type(obj).from_json(json.loads(json.dumps(obj.to_json())))
+
+
+_SIMPLE_MODELS = {
+    "fourier": [ModelIndex(FOURIER, degree) for degree in range(1, 5)],
+    "mixed": [ModelIndex(FOURIER, 6), ModelIndex(PW, 5), ModelIndex(PW, 2), ModelIndex(FOURIER, 2)],
+    "piecewise": [ModelIndex(PW, 3)],
+}
+_SCALE_MODELS = {
+    "low": [ModelIndex(PW, degree) for degree in (2, 3)],
+    "spread": [ModelIndex(PW, degree) for degree in (3, 6, 10)],
+}
+
+
+@pytest.fixture(scope="module")
+def composite_tables():
+    return calibrate_collections(
+        Exponential(), list(_SCALE_MODELS.values()), 20, 0.1, 300, 200, 20,
+        StatisticKind.COMPOSITE_INVARIANT, seed=3, policy=ScaleSearchPolicy(coarse_points=33),
+    )
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_collections_calibrated_together_equal_separate_calibrations(workers, composite_tables):
+    grouped = calibrate_collections(
+        Uniform01(), list(_SIMPLE_MODELS.values()), 30, 0.05, 300, 300, 20, seed=5, workers=workers
+    )
+    for table, models in zip(grouped, _SIMPLE_MODELS.values(), strict=True):
+        alone = calibrate(Uniform01(), models, 30, 0.05, 300, 300, 20, seed=5, workers=workers)
+        assert table.to_json() == alone.to_json()
+    policy = ScaleSearchPolicy(coarse_points=33)
+    for table, models in zip(composite_tables, _SCALE_MODELS.values(), strict=True):
+        alone = calibrate(
+            Exponential(), models, 20, 0.1, 300, 200, 20,
+            StatisticKind.COMPOSITE_INVARIANT, seed=3, policy=policy, workers=workers,
+        )
+        assert table.to_json() == alone.to_json()
+
+
+def test_table_json_round_trip_keeps_every_field(composite_tables):
+    simple = calibrate(Gaussian(0.3, 1.7), [ModelIndex(PW, 2), ModelIndex(PW, 4)], 25, 0.05, 200, 200, 10)
+    for table in (simple, *composite_tables):
+        _assert_same_fields(_json_round_trip(table), table)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    relative_span=st.floats(min_value=1.0, exclude_min=True, allow_nan=False, allow_infinity=False),
+    coarse_points=st.integers(3, 10**9),
+    refine_rounds=st.integers(0, 10**9),
+    refine_factor=st.integers(1, 10**9),
+)
+def test_policy_json_round_trip_keeps_every_field(relative_span, coarse_points, refine_rounds, refine_factor):
+    policy = ScaleSearchPolicy(relative_span, coarse_points, refine_rounds, refine_factor)
+    _assert_same_fields(_json_round_trip(policy), policy)

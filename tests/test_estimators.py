@@ -461,3 +461,63 @@ def test_model_index_validation():
         ModelIndex("legendre", 3)
     with pytest.raises(InvalidInputError):
         ModelIndex(PW, 0)
+
+
+# A column of a statistic matrix depends only on its own model, so a batch
+# over a union of collections holds each collection's matrix bit for bit;
+# the harness and calibrate_collections read tables' columns off one union.
+_UNION = pinned_order(
+    [ModelIndex(PW, degree) for degree in range(2, 11)]
+    + [ModelIndex(FOURIER, degree) for degree in range(1, 13)]
+)
+_SUBSETS = {
+    "fourier-lower-top": [ModelIndex(FOURIER, degree) for degree in range(1, 7)],
+    "fourier-odd-top": [ModelIndex(FOURIER, 3), ModelIndex(FOURIER, 9)],
+    "piecewise-only": [ModelIndex(PW, degree) for degree in range(2, 11)],
+    "piecewise-sparse": [ModelIndex(PW, 3), ModelIndex(PW, 7)],
+    "mixed": [ModelIndex(PW, 4), ModelIndex(FOURIER, 2), ModelIndex(FOURIER, 12)],
+}
+
+
+@pytest.mark.parametrize("null", [Uniform01(), Gaussian(0.0, 1.0), Exponential()], ids=lambda d: d.name)
+@pytest.mark.parametrize("subset", sorted(_SUBSETS))
+@pytest.mark.parametrize("n", [50, 100])
+def test_simple_stats_of_a_subset_are_columns_of_the_union(null, subset, n):
+    models = _SUBSETS[subset]
+    columns = [_UNION.index(m) for m in models]
+    # rows that cross the block boundaries of the union's and the subset's passes
+    union_block = _fourier_block_rows(n, 12)
+    rows = 3 * max(union_block, estimators._BLOCK_ELEMENTS // (n * 9)) + 1
+    rng = np.random.default_rng(n)
+    samples = rng.random((rows, n))
+    samples[::2, 0] = 0.0
+    samples[1::3, -1] = 1.0
+    for batch in (samples[:1], samples[: union_block + 1], samples):
+        union = simple_stats_batch(batch, _UNION, null)
+        assert np.array_equal(simple_stats_batch(batch, models, null), union[:, columns]), batch.shape
+
+
+@pytest.mark.parametrize("null", [Gaussian(0.0, 1.0), Exponential()], ids=lambda d: d.name)
+def test_piecewise_stats_of_null_samples_are_columns_of_the_union(null):
+    models = _SUBSETS["piecewise-sparse"]
+    pw_union = [m for m in _UNION if m.family is PW]
+    samples = np.stack([null.sample(100, derive_stream(6, "union", r)) for r in range(400)])
+    union = simple_stats_batch(samples, pw_union, null)
+    assert np.array_equal(
+        simple_stats_batch(samples, models, null), union[:, [pw_union.index(m) for m in models]]
+    )
+
+
+@pytest.mark.parametrize("degrees", [(2,), (3, 7), (2, 5, 9, 10)], ids=str)
+def test_composite_stats_of_a_subset_are_columns_of_the_union(degrees):
+    from adagof.harness import scale_models
+
+    union = scale_models(2, 10)
+    models = [ModelIndex(PW, degree) for degree in degrees]
+    policy = ScaleSearchPolicy()
+    n = 20
+    rows = 2 * _search_block_rows(n, union, policy) + 3
+    samples = _search_samples("exponential", rows, n, 11)
+    whole = composite_scale_stats_batch(samples, union, Exponential(), policy)
+    part = composite_scale_stats_batch(samples, models, Exponential(), policy)
+    assert np.array_equal(part, whole[:, [union.index(m) for m in models]])

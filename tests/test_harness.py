@@ -4,6 +4,8 @@ import json
 import numpy as np
 import pytest
 
+from adagof import calibration, harness
+from adagof.baselines import BaselineKind, calibrate_baseline
 from adagof.calibration import StatisticKind, calibrate
 from adagof.cli import _parse_policy
 from adagof.cli import main as cli_main
@@ -19,13 +21,15 @@ from adagof.harness import (
     estimate_power,
     _UNIFORMITY_ROWS,
     _scaled_budgets,
+    direct_models,
+    mixed_models,
     rejection_counts,
     reproduce_table,
     scale_models,
     table_cells,
     trigonometric_models,
 )
-from adagof.null_models import Exponential, Uniform01
+from adagof.null_models import Exponential, Gaussian, Uniform01
 
 
 class TestDeriveStream:
@@ -182,6 +186,43 @@ def test_power_report_matches_its_preset_column():
     assert (report.level, report.level_std_error) == (cells[-1].estimate, cells[-1].std_error)
 
 
+def test_a_preset_block_draws_each_calibration_stage_once(monkeypatch):
+    # T_tr and T_tr/ct share the uniform null, n, budgets and seed: one
+    # simulation per stage over the union of their models
+    harness._cached_calibrate.cache_clear()
+    labels = []
+    simulate = calibration.simulate_null_stats
+
+    def counted(d, models, n, reps, kind, seed, label, *args):
+        labels.append(label)
+        return simulate(d, models, n, reps, kind, seed, label, *args)
+
+    monkeypatch.setattr(calibration, "simulate_null_stats", counted)
+    table_cells("T1", seed=3, scale=0.012)
+    assert labels == ["calib:thresholds", "calib:level"]
+
+
+def test_columns_counted_together_equal_columns_counted_alone():
+    # the raw and transformed inputs, two tables sharing a null and a
+    # baseline, each in one batch with the others
+    null, n = Gaussian(0.0, 1.0), 40
+    tables = [
+        calibrate(Uniform01(), trigonometric_models(4), n, 0.1, B1=200, B2=200, u_grid_size=20, seed=2),
+        calibrate(Uniform01(), mixed_models(6, 5), n, 0.1, B1=200, B2=200, u_grid_size=20, seed=2),
+        calibrate(null, direct_models(1, 6), n, 0.1, B1=200, B2=200, u_grid_size=20, seed=2),
+    ]
+    columns = [
+        TestColumn("T_tr", TestKind.TTR, table=tables[0]),
+        TestColumn("T_tr/ct", TestKind.TTR_CT, table=tables[1]),
+        TestColumn("T_d", TestKind.TD, table=tables[2]),
+        TestColumn("T_KS", TestKind.KS, baseline=calibrate_baseline(BaselineKind.KS, n, 0.1, 1000, 2)),
+    ]
+    together = rejection_counts(null, "norm:g:1,1", n, 300, columns, 7, "mixed", 1)
+    alone = [rejection_counts(null, "norm:g:1,1", n, 300, [c], 7, "mixed", 1)[0] for c in columns]
+    assert together.tolist() == alone
+    assert 0 < min(alone) and max(alone) < 300  # every column decides both ways
+
+
 class TestWorkerIndependence:
     def test_rejection_counts_independent_of_workers(self, tiny_table):
         column = TestColumn("T_tr", TestKind.TTR, table=tiny_table)
@@ -333,6 +374,16 @@ def test_malformed_input_exits_2(case, tmp_path, capsys, tiny_table):
     argv = [a.format(**{k: str(v) for k, v in paths.items()}) for a in _MALFORMED_CLI[case]]
     assert cli_main(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("budgets", [[600], [600, 600, 7]], ids=["one", "three"])
+def test_table_without_exactly_two_budgets_exits_2(budgets, tmp_path, capsys, tiny_table):
+    table_path = tmp_path / "table.json"
+    table_path.write_text(json.dumps(dict(tiny_table.to_json(), budgets=budgets)), encoding="utf-8")
+    data_path = tmp_path / "data.txt"
+    data_path.write_text("\n".join(["0.41"] * 25), encoding="utf-8")
+    assert cli_main(["test", "--calib", str(table_path), "--data", str(data_path)]) == 2
+    assert "out of range" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -44,3 +44,32 @@ def test_harness_names_the_workloads_read():
     ]
     # the workloads count process pools by swapping these two names
     assert harness.ProcessPoolExecutor is calibration.ProcessPoolExecutor
+
+
+def test_harness_caches_are_the_two_the_workloads_clear():
+    cached = {name for name, obj in vars(harness).items() if callable(getattr(obj, "cache_clear", None))}
+    assert cached == {"_cached_calibrate", "_cached_baseline"}
+
+
+def test_uniformity_columns_read_back_the_tables_a_preset_used(monkeypatch):
+    harness._cached_calibrate.cache_clear()
+    harness._cached_baseline.cache_clear()
+    used = []
+    run_block = harness._run_block
+
+    def recording_run_block(null, rows, columns, *args):
+        used.extend(columns)
+        return run_block(null, rows, columns, *args)
+
+    monkeypatch.setattr(harness, "_run_block", recording_run_block)
+    harness.reproduce_table("T1", scale=0.05)
+    simulations = []
+    simulate = calibration.simulate_null_stats
+    monkeypatch.setattr(
+        calibration, "simulate_null_stats", lambda *a, **k: simulations.append(a) or simulate(*a, **k)
+    )
+    cols = harness._uniformity_columns(50, 6, 6, 10, 0.05, 1000, 0, 1)
+    assert simulations == []
+    assert [c.name for c in cols] == [c.name for c in used]
+    for got, want in zip(cols, used):
+        assert got.table is want.table and got.baseline is want.baseline, got.name

@@ -75,8 +75,8 @@ def test_power_monotone_in_contamination_amplitude():
     from adagof.calibration import StatisticKind
     from adagof.harness import trigonometric_models
 
-    table = _cached_calibrate(
-        Uniform01(), tuple(trigonometric_models(12)), 100, 0.05,
+    (table,) = _cached_calibrate(
+        Uniform01(), (tuple(trigonometric_models(12)),), 100, 0.05,
         20_000, 20_000, StatisticKind.SIMPLE, 57, None, 1,
     )
     column = TestColumn("T_tr", TestKind.TTR, table=table)
