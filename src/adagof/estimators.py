@@ -24,11 +24,14 @@ Each statistic has one kernel, working on a batch with one row per sample:
 one-row batch, so a decision computes bit for bit the statistic that was
 simulated to calibrate its thresholds.
 
-The piecewise kernels count same-bin pairs from run lengths in one pass over
-a stacked array: all degrees of a block of rows, or every (row, candidate
-ratio) pair of the scale search.  The Fourier part takes every frequency of a
-block of rows from one ``cos`` and one ``sin`` call, bit for bit the values
-of :func:`~adagof.bases.fourier_eval`.  Blocks hold about
+The piecewise kernels count same-bin pairs from run lengths in one flat pass
+over a stacked array -- all degrees of a block of rows, or every (row,
+candidate ratio) pair of the scale search -- read as one C-ordered vector:
+one contiguous compare of neighbours marks the run starts, each row's first
+element starts a run too, and each row sums ``L (L - 1)`` over its run
+lengths ``L`` in one ``reduceat``.  The Fourier part takes every frequency
+of a block of rows from one ``cos`` and one ``sin`` call, bit for bit the
+values of :func:`~adagof.bases.fourier_eval`.  Blocks hold about
 ``_BLOCK_ELEMENTS`` stacked elements, so temporaries do not grow with the
 batch.
 """
@@ -198,16 +201,24 @@ def _piecewise_theta(bins: np.ndarray, degree) -> np.ndarray:
     ``degree`` broadcasts against ``bins.shape[:-1]``.
 
     A row's same-bin pairs are ``sum L (L - 1) / 2`` over its runs of equal
-    bins, read off one run-start mask that is true at every row start.
+    bins.  The rows are read as one flat C-ordered vector (a non-contiguous
+    input is copied): one compare of neighbours marks the run starts, every
+    row's first element is marked too, so a row that opens on its
+    predecessor's last bin still starts a run, and the run lengths are the
+    gaps between consecutive starts.
     """
     n = bins.shape[-1]
-    new_run = np.empty(bins.shape, dtype=bool)
-    new_run[..., 0] = True
-    np.not_equal(bins[..., 1:], bins[..., :-1], out=new_run[..., 1:])
+    flat = bins.reshape(-1)
+    new_run = np.empty(flat.size, dtype=bool)
+    np.not_equal(flat[1:], flat[:-1], out=new_run[1:])
+    new_run[::n] = True
     starts = np.flatnonzero(new_run)
-    lengths = np.diff(starts, append=bins.size)
-    row_firsts = np.searchsorted(starts, np.arange(0, bins.size, n))
-    pairs = (np.add.reduceat(lengths * (lengths - 1), row_firsts) // 2).reshape(bins.shape[:-1])
+    lengths = np.empty_like(starts)
+    np.subtract(starts[1:], starts[:-1], out=lengths[:-1])
+    lengths[-1:] = flat.size - starts[-1:]
+    lengths *= lengths - 1
+    row_firsts = np.searchsorted(starts, np.arange(0, flat.size, n))
+    pairs = (np.add.reduceat(lengths, row_firsts) // 2).reshape(bins.shape[:-1])
     return degree * (2.0 * pairs) / (n * (n - 1))
 
 
@@ -292,11 +303,12 @@ def _scale_search(
         # every (row, grid ratio) pair at every degree; the first minimum
         # along the grid is the first candidate evaluated
         z = y[blk, None, :] * (1.0 / grid)[:, None]
-        vals = np.repeat(_plug_in(z, d)[..., None], degrees.size, axis=2)
+        plug = _plug_in(z, d)
+        vals = np.empty(plug.shape + degrees.shape)
         bins = np.empty_like(z)
         for col, degree in enumerate(degrees.tolist()):
             np.floor(np.multiply(degree, z, out=bins), out=bins)
-            vals[..., col] += _piecewise_theta(bins, degree)
+            np.add(plug, _piecewise_theta(bins, degree), out=vals[..., col])
         j = vals.argmin(axis=1)
         best[blk] = np.take_along_axis(vals, j[:, None, :], axis=1)[:, 0]
         best_ratio[blk] = grid[j]

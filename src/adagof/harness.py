@@ -7,12 +7,13 @@ counting, so reports are byte-identical for any worker count.
 
 Each statistic matrix is computed once per draw.  A preset block's adaptive
 tables that share a null, statistic and search policy are calibrated
-together (:func:`~adagof.calibration.calibrate_collections`, cached in
-``_cached_calibrate``).  Each power or level batch takes the null-cdf
-transform once and one ``simple_stats_batch`` per (table null, input) over
-the union of those tables' models; every column reads its own slice, which
-equals its own statistic bit for bit because a column depends only on its
-model.
+together (:func:`~adagof.calibration.calibrate_collections`).
+``_cached_calibrate`` keeps one table per collection, so a one-collection
+lookup finds a table that was calibrated as part of a group.  Each power or
+level batch takes the null-cdf transform once and one ``simple_stats_batch``
+per (table null, input) over the union of those tables' models; every column
+reads its own slice, which equals its own statistic bit for bit because a
+column depends only on its model.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import dataclasses
 import json
 import math
 import time
+from collections import OrderedDict
 
 # Imported only so that perfbench/workloads.py can swap it at this import site.
 from concurrent.futures import ProcessPoolExecutor  # noqa: F401
@@ -363,7 +365,13 @@ def _run_block(null, rows, columns, n, reps_power, reps_level, seed, workers) ->
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=64)
+#: Calibrated tables, one entry per model collection, least recently used
+#: first.  An entry is keyed on every argument of ``_cached_calibrate`` but
+#: ``workers``: a table is bit-identical for any worker count.
+_TABLES: OrderedDict[tuple, CalibrationTable] = OrderedDict()
+_TABLES_MAX = 64
+
+
 def _cached_calibrate(
     d: NullDensity,
     collections: tuple[tuple[ModelIndex, ...], ...],
@@ -376,11 +384,26 @@ def _cached_calibrate(
     policy: ScaleSearchPolicy | None,
     workers: int,
 ) -> tuple[CalibrationTable, ...]:
-    """One table per model collection, all from one null draw per stage."""
-    return tuple(calibrate_collections(
-        d, collections, n, alpha, B1, B2,
-        statistic_kind=kind, seed=seed, policy=policy, workers=workers,
-    ))
+    """One table per model collection.  Each collection's table is looked up
+    on its own; the missing ones are calibrated together, from one null draw
+    per stage, which gives each the table of its own calibration."""
+    keys = [(d, models, n, alpha, B1, B2, kind, seed, policy) for models in collections]
+    missing = [k for k in keys if k not in _TABLES]
+    if missing:
+        tables = calibrate_collections(
+            d, [k[1] for k in missing], n, alpha, B1, B2,
+            statistic_kind=kind, seed=seed, policy=policy, workers=workers,
+        )
+        _TABLES.update(zip(missing, tables))
+    for k in keys:
+        _TABLES.move_to_end(k)
+    found = tuple(_TABLES[k] for k in keys)
+    while len(_TABLES) > _TABLES_MAX:
+        _TABLES.popitem(last=False)
+    return found
+
+
+_cached_calibrate.cache_clear = _TABLES.clear
 
 
 @lru_cache(maxsize=64)

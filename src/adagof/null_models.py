@@ -176,7 +176,10 @@ class Exponential(NullDensity):
 
     def pdf(self, x):
         xa = np.asarray(x, dtype=float)
-        out = np.where(xa >= 0.0, np.exp(-np.maximum(xa, 0.0)), 0.0)
+        # exp(-max(x, 0)) in one buffer, then 0 off the support (NaN included)
+        out = np.maximum(xa, 0.0, out=np.empty_like(xa))
+        np.exp(np.negative(out, out=out), out=out)
+        np.copyto(out, 0.0, where=~(xa >= 0.0))
         return out if out.ndim else float(out)
 
     def cdf(self, x):

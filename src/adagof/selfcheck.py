@@ -6,8 +6,10 @@ cosine-series statistic against a triple loop, the smooth test's Legendre
 recurrence against numpy's polynomial evaluation, the order-statistic KS
 formula against a dense sup scan, the lane blocks of replicate streams
 against ``derive_stream``, that is numpy's own ``SeedSequence`` and
-``PCG64``, and the samplers run over lane blocks against one call per
-replicate on ``derive_stream``.
+``PCG64``, the samplers run over lane blocks against one call per
+replicate on ``derive_stream``, and the stacked piecewise pass over a block
+of rows and degrees (one flat run-length count, with rows that open on
+their predecessor's last bin) against the double loop row by row.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from numpy.polynomial import legendre as npleg
 
 from .baselines import _legendre_colsums, bickel_ritov_statistic, ks_statistic
 from .bases import BasisFamily
-from .estimators import ModelIndex, theta_hat, theta_hat_naive
+from .estimators import ModelIndex, _theta_batch, theta_hat, theta_hat_naive
 from .alternatives import from_id
 from .calibration import draw_samples
 from .null_models import Gaussian, Uniform01
@@ -37,6 +39,28 @@ def _check_theta_pairsum(rng: np.random.Generator, cases: int = 200) -> tuple[bo
         a, b = theta_hat(x, m), theta_hat_naive(x, m)
         worst = max(worst, abs(a - b) / max(abs(b), 1.0))
     return worst <= 1e-10, f"pair-sum estimator vs literal double loop: max rel err {worst:.2e}"
+
+
+def _check_stacked_piecewise(rng: np.random.Generator, rows: int = 30, n: int = 12) -> tuple[bool, str]:
+    # the first half of the rows cut from one sorted sequence, so that most
+    # open on the bin their predecessor closed on; values of 1.0 take the
+    # upper-edge clamp
+    cut = np.sort(rng.random(rows // 2 * n)).reshape(-1, n)
+    x = np.vstack([cut, np.sort(np.round(rng.random((rows - cut.shape[0], n)), 1), axis=1)])
+    models = [ModelIndex(BasisFamily.PIECEWISE_CONSTANT, degree) for degree in range(1, 11)]
+    got = _theta_batch(x, models, 1.0)
+    shared = sum(
+        int(np.floor(m.degree * x[r, 0]) == np.floor(m.degree * x[r - 1, -1]))
+        for m in models for r in range(1, rows)
+    )
+    mismatched = sum(
+        got[r, c] != theta_hat_naive(x[r], m, upper=1.0)
+        for r in range(rows) for c, m in enumerate(models)
+    )
+    return mismatched == 0, (
+        f"stacked piecewise pass vs literal double loop: {mismatched} of {got.size} values differ"
+        f" ({shared} of {(rows - 1) * len(models)} row starts on the previous row's last bin)"
+    )
 
 
 def _bickel_ritov_triple_loop(x: np.ndarray, d_of_n: int) -> float:
@@ -138,6 +162,7 @@ def run_selfcheck(seed: int = 0) -> tuple[bool, list[str]]:
         _check_ks(rng),
         _check_streams(rng),
         _check_lane_samplers(),
+        _check_stacked_piecewise(rng),
     ]
     lines = [("PASS " if ok else "FAIL ") + msg for ok, msg in results]
     return all(ok for ok, _ in results), lines

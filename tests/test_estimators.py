@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -521,3 +522,136 @@ def test_composite_stats_of_a_subset_are_columns_of_the_union(degrees):
     whole = composite_scale_stats_batch(samples, union, Exponential(), policy)
     part = composite_scale_stats_batch(samples, models, Exponential(), policy)
     assert np.array_equal(part, whole[:, [union.index(m) for m in models]])
+
+
+# ---------------------------------------------------------------------------
+# The run-length pair counter against a literal count per row
+# ---------------------------------------------------------------------------
+
+
+def _unique_pair_theta(bins, degree):
+    """``theta_hat`` of each row from its ``np.unique`` bin counts."""
+    n = bins.shape[-1]
+    degrees = np.broadcast_to(degree, bins.shape[:-1]).reshape(-1)
+    out = []
+    for row, D in zip(bins.reshape(-1, n), degrees):
+        _, counts = np.unique(row, return_counts=True)
+        pairs = int(np.sum(counts * (counts - 1))) // 2
+        out.append(D * (2.0 * pairs) / (n * (n - 1)))
+    return np.array(out).reshape(bins.shape[:-1])
+
+
+def _transposed_slice(bins):
+    """The same values as a non-contiguous view: last axis first, padded,
+    then moved back and sliced."""
+    holder = np.zeros((bins.shape[-1] + 2,) + bins.shape[:-1])
+    holder[1:-1] = np.moveaxis(bins, -1, 0)
+    return np.moveaxis(holder, 0, -1)[..., 1:-1]
+
+
+@st.composite
+def _sorted_bin_batches(draw):
+    """Sorted integer-valued float bins, ``(rows, n)`` with a scalar degree
+    or ``(k, rows, n)`` with a degree per k."""
+    stacked = draw(st.booleans())
+    k, rows, n = draw(st.integers(1, 3)), draw(st.integers(1, 5)), draw(st.integers(2, 9))
+    top = draw(st.integers(0, 2 * n))  # 0: every row one run
+    size = k * rows * n
+    values = draw(st.lists(st.integers(-2, top), min_size=size, max_size=size))
+    bins = np.sort(np.array(values, dtype=float).reshape(k, rows, n), axis=-1)
+    if draw(st.booleans()):  # each row opens on its predecessor's last bin
+        flat = bins.reshape(-1, n)
+        flat[1:, 0] = np.minimum(flat[:-1, -1], flat[1:, 1])
+    degrees = np.array(draw(st.lists(st.integers(1, 12), min_size=k, max_size=k)))
+    if not stacked:
+        return bins[0], int(degrees[0])
+    return bins, degrees[:, None]
+
+
+@settings(max_examples=300, deadline=None)
+@given(batch=_sorted_bin_batches(), transposed=st.booleans())
+def test_pair_counter_matches_unique_counts(batch, transposed):
+    bins, degree = batch
+    want = _unique_pair_theta(bins, degree)
+    if transposed:
+        bins = _transposed_slice(bins)
+        assert bins.flags.c_contiguous == (bins.size == bins.shape[-1])  # a lone row stays contiguous
+    got = estimators._piecewise_theta(bins, degree)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("layout", ["contiguous", "transposed"])
+def test_pair_counter_on_equal_distinct_and_chained_rows(layout):
+    n = 6
+    bins = np.array([
+        [3.0] * n,                       # all equal
+        [3.0, 4, 5, 6, 7, 8],            # all distinct, opens on the last row's bin
+        [8.0, 8, 8, 9, 9, 10],           # opens on the last row's bin
+        [10.0, 11, 12, 13, 14, 15],      # all distinct, opens on the last row's bin
+        [15.0] * n,                      # all equal to the last row's last bin
+    ])
+    stacked = np.stack([bins, bins[::-1]])
+    degrees = np.array([[2], [7]])
+    for b, degree in ((bins, 5), (stacked, degrees)):
+        want = _unique_pair_theta(b, degree)
+        if layout == "transposed":
+            b = _transposed_slice(b)
+        assert estimators._piecewise_theta(b, degree).tobytes() == want.tobytes()
+    assert _unique_pair_theta(bins, 5).tolist() == [5.0, 0.0, 5.0 * 8 / 30, 0.0, 5.0]
+
+
+# ---------------------------------------------------------------------------
+# Golden pins: sha256 of kernel outputs on fixed batches, recorded before the
+# flat pair counter replaced the strided one
+# ---------------------------------------------------------------------------
+
+
+def _golden_search_batch(kind):
+    rng = np.random.default_rng({"exponential": 1, "weibull": 2, "rounded": 3}[kind])
+    if kind == "exponential":
+        return rng.exponential(size=(40, 100))
+    if kind == "weibull":
+        return rng.weibull(1.5, size=(40, 100))
+    return np.maximum(np.round(rng.exponential(size=(40, 100)), 1), 0.1)  # ties
+
+
+_GOLDEN_SEARCH_POLICIES = {
+    "default": ScaleSearchPolicy(),
+    "coarse31-rounds2": ScaleSearchPolicy(coarse_points=31, refine_rounds=2),
+}
+# sha256 of values.tobytes() + ratios.tobytes() of _scale_search over
+# piecewise:2-10 under the exponential null
+GOLDEN_SEARCH = {
+    ("exponential", "default"): "9c7f32f8c96004738b1a7f4a56559eeaa161f58028cc69aaed4d31dacdd46be7",
+    ("exponential", "coarse31-rounds2"): "59d7464aebeb6f55694a2b782c609463371fb50d378b25d4e6119ffc078567d7",
+    ("weibull", "default"): "6227905b0bd07149c2ec09c8b7157e34a77b0878a2fecdbc327786728990819c",
+    ("weibull", "coarse31-rounds2"): "f263bb3a2bf07012487d5ae6f422d6af18ccdb124355937d929f3fb3c6f12b30",
+    ("rounded", "default"): "01dc9437e0e68a043095d3c4f69b3d219dce70fb0f6fc13e709728eb683eb14e",
+    ("rounded", "coarse31-rounds2"): "6bc6fd09caa177c45c25df537126b5fe15fd749d2ea1e54dce6fa0464ce60af5",
+}
+
+
+@pytest.mark.parametrize("kind, policy", sorted(GOLDEN_SEARCH))
+def test_scale_search_golden(kind, policy):
+    models = [ModelIndex(PW, degree) for degree in range(2, 11)]
+    values, ratios = _scale_search(
+        _golden_search_batch(kind), models, Exponential(), _GOLDEN_SEARCH_POLICIES[policy]
+    )
+    digest = hashlib.sha256(values.tobytes() + ratios.tobytes()).hexdigest()
+    assert digest == GOLDEN_SEARCH[kind, policy]
+
+
+def test_simple_stats_golden():
+    from adagof.harness import mixed_models
+
+    rng = np.random.default_rng(4)
+    x = rng.random((300, 100))
+    x[::3] = np.round(x[::3], 2)  # ties
+    x[::5, 0] = 0.0
+    x[::7, -1] = 1.0  # the upper-edge clamp
+    stats = simple_stats_batch(x, mixed_models(12, 10), Uniform01())
+    assert stats.shape == (300, 21)
+    assert hashlib.sha256(stats.tobytes()).hexdigest() == (
+        "e122eeee3d28e3ccb5f3d0e13d8755eb1c5f91b2a9025960edab8c4d93d3c494"
+    )

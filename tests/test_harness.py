@@ -202,6 +202,60 @@ def test_a_preset_block_draws_each_calibration_stage_once(monkeypatch):
     assert labels == ["calib:thresholds", "calib:level"]
 
 
+def test_a_table_calibrated_in_a_group_serves_a_one_collection_lookup(monkeypatch):
+    # the T1 preset calibrates T_tr inside the (T_tr, T_tr/ct) group; the
+    # matching power config finds that table, for any worker count
+    scale, seed = 0.012, 3
+    B, reps_power, reps_level = _scaled_budgets(scale)
+    harness._cached_calibrate.cache_clear()
+    table_cells("T1", seed=seed, scale=scale)
+    labels = []
+    simulate = calibration.simulate_null_stats
+
+    def counted(d, models, n, reps, kind, seed, label, *args):
+        labels.append(label)
+        return simulate(d, models, n, reps, kind, seed, label, *args)
+
+    monkeypatch.setattr(calibration, "simulate_null_stats", counted)
+    config = ExperimentConfig(
+        test=TestKind.TTR, null="uniform", n=50, model_params=ModelParams(d_tr=6),
+        alternatives=("f:0.5,2",), reps_power=reps_power, reps_level=reps_level,
+        calib=(B, B), seed=seed,
+    )
+    grouped = build_column(config, build_missing=True).table
+    assert build_column(config, workers=2, build_missing=True).table is grouped
+    estimate_power(config, build_missing=True)
+    assert labels == []
+    harness._cached_calibrate.cache_clear()
+    estimate_power(config, build_missing=True)
+    assert labels == ["calib:thresholds", "calib:level"]
+    assert build_column(config, build_missing=True).table.to_json() == grouped.to_json()
+
+
+def test_a_group_lookup_calibrates_only_its_missing_collections(monkeypatch):
+    harness._cached_calibrate.cache_clear()
+    args = (Uniform01(), 30, 0.1, 200, 200, StatisticKind.SIMPLE, 4, None, 1)
+    first, second = tuple(trigonometric_models(3)), tuple(direct_models(2, 5))
+    (kept,) = harness._cached_calibrate(args[0], (first,), *args[1:])
+    alone = calibrate(Uniform01(), list(second), 30, 0.1, B1=200, B2=200, seed=4)
+    drawn = []
+    simulate = calibration.simulate_null_stats
+
+    def counted(d, models, *rest):
+        drawn.append(tuple(models))
+        return simulate(d, models, *rest)
+
+    monkeypatch.setattr(calibration, "simulate_null_stats", counted)
+    got = harness._cached_calibrate(args[0], (second, first), *args[1:])
+    assert drawn == [second, second]
+    assert got[1] is kept
+    assert got[0].to_json() == alone.to_json()
+    again = harness._cached_calibrate(args[0], (first, second), *args[1:])
+    assert again[0] is kept and again[1] is got[0]
+    assert drawn == [second, second]
+    harness._cached_calibrate.cache_clear()
+
+
 def test_columns_counted_together_equal_columns_counted_alone():
     # the raw and transformed inputs, two tables sharing a null and a
     # baseline, each in one batch with the others
@@ -325,7 +379,7 @@ class TestCli:
         rc = cli_main(["selfcheck"])
         out = capsys.readouterr().out
         assert rc == 0
-        assert out.count("PASS") == 6
+        assert out.count("PASS") == 7
 
 
 _MALFORMED_CLI = {

@@ -61,6 +61,17 @@ class TestClosedForms:
     def test_exponential_pdf_at_zero(self):
         assert Exponential().pdf(0.0) == 1.0
 
+    def test_exponential_pdf_pinned(self):
+        # exp(-x) on the support, +0.0 off it and at NaN, bit for bit
+        x = np.array([-1.0, -0.0, 0.0, 1e-300, 3.0, math.inf, -math.inf, math.nan])
+        want = np.array([0.0, 1.0, 1.0, 1.0, 0.049787068367863944, 0.0, 0.0, 0.0])
+        got = Exponential().pdf(x)
+        assert got.tobytes() == want.tobytes()
+        assert Exponential().pdf(x.reshape(2, 4)).tobytes() == want.tobytes()
+        scalar = Exponential().pdf(2.0)
+        assert type(scalar) is float and scalar == 0.1353352832366127
+        assert type(Exponential().pdf(math.nan)) is float and Exponential().pdf(math.nan) == 0.0
+
     def test_exponential_quantile(self):
         assert Exponential().quantile(1.0 - math.exp(-1.0)) == pytest.approx(1.0, abs=1e-12)
 
