@@ -16,10 +16,10 @@ from enum import Enum
 
 import numpy as np
 
-from .bases import legendre_polys
+from .bases import legendre_polys, multiple_angles
 from .calibration import draw_samples, threshold_matrix
 from .errors import BudgetTooSmallError, InvalidInputError, SupportViolationError
-from .estimators import _checked_rows, _row, scale_free_ratios
+from .estimators import _checked_rows, _row, _row_blocks, scale_free_ratios
 from .null_models import Exponential, NullDensity, Uniform01
 
 # Imported only so that perfbench/tracing.py can wrap it at this import site.
@@ -112,8 +112,18 @@ def _check_unit_interval(x: np.ndarray) -> None:
 
 
 def _cosine_colsums(x: np.ndarray, dmax: int) -> np.ndarray:
-    """(dmax, B) matrix of ``sum_i cos(l pi x_i)`` for l = 1..dmax."""
-    return np.stack([np.cos(l * np.pi * x).sum(axis=1) for l in range(1, dmax + 1)])
+    """(dmax, B) matrix of ``sum_i cos(l pi x_i)`` for l = 1..dmax.
+
+    The cosines are rows 1..dmax of :func:`~adagof.bases.multiple_angles` at
+    ``pi x``, so they depend on libm only through ``cos(pi x)``; the recurrence
+    keeps them within about 3e-14 of ``np.cos`` for ``l <= 12``.  Row blocks
+    of the stacked cosines hold about ``_BLOCK_ELEMENTS`` elements.
+    """
+    b, n = x.shape
+    sums = np.empty((dmax, b))
+    for blk in _row_blocks(b, n * (dmax + 1)):
+        sums[:, blk] = multiple_angles(np.pi * x[blk], dmax + 1)[1:].sum(axis=-1)
+    return sums
 
 
 def bickel_ritov_statistic(sample: np.ndarray, d_of_n: int) -> float:

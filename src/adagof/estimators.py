@@ -29,11 +29,15 @@ over a stacked array -- all degrees of a block of rows, or every (row,
 candidate ratio) pair of the scale search -- read as one C-ordered vector:
 one contiguous compare of neighbours marks the run starts, each row's first
 element starts a run too, and each row sums ``L (L - 1)`` over its run
-lengths ``L`` in one ``reduceat``.  The Fourier part takes every frequency
-of a block of rows from one ``cos`` and one ``sin`` call, bit for bit the
-values of :func:`~adagof.bases.fourier_eval`.  Blocks hold about
-``_BLOCK_ELEMENTS`` stacked elements, so temporaries do not grow with the
-batch.
+lengths ``L`` in one ``reduceat``.  The Fourier part stacks every function
+of a block of rows from one ``cos`` and one ``sin`` call of ``2 pi x``: the
+further harmonics come from the Chebyshev recurrence of
+:func:`~adagof.bases.multiple_angles`, bit for bit the values of
+:func:`~adagof.bases.fourier_eval`, so they depend on libm only through
+``cos(2 pi x)`` and ``sin(2 pi x)`` and stay within about 4e-14 of
+``np.cos``/``np.sin`` of each multiple angle up to degree 24.  Blocks hold
+about ``_BLOCK_ELEMENTS`` stacked elements, so temporaries do not grow with
+the batch.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bases import _SQRT2, BasisFamily, bin_index, fourier_eval
+from .bases import _SQRT2, BasisFamily, bin_index, fourier_eval, multiple_angles
 # Imported only so that perfbench/tracing.py can wrap it at this import site.
 from .bases import basis_sums  # noqa: F401
 from .errors import (
@@ -226,7 +230,9 @@ def _theta_batch(x: np.ndarray, models, upper: float | None) -> np.ndarray:
     """(rows, models) matrix of ``theta_hat`` on a checked, row-sorted batch."""
     b, n = x.shape
     out = np.empty((b, len(models)))
-    piecewise = [c for c, m in enumerate(models) if m.family is BasisFamily.PIECEWISE_CONSTANT]
+    piecewise, fourier = [], []
+    for col, m in enumerate(models):
+        (piecewise if m.family is BasisFamily.PIECEWISE_CONSTANT else fourier).append(col)
     if piecewise:
         # every piecewise degree in one stacked (degree, row, obs) pass per block
         degrees = np.array([models[c].degree for c in piecewise])[:, None, None]
@@ -235,27 +241,22 @@ def _theta_batch(x: np.ndarray, models, upper: float | None) -> np.ndarray:
             if upper is not None:
                 np.copyto(bins, np.floor(degrees * upper) - 1, where=x[blk] == upper)
             out[blk, piecewise] = _piecewise_theta(bins, degrees[..., 0]).T
-    fourier = [m.degree for m in models if m.family is BasisFamily.FOURIER]
     if fourier:
         if not (np.all(x[:, 0] >= 0.0) and np.all(x[:, -1] <= 1.0)):  # rows are sorted
             raise InvalidInputError("fourier basis is defined on [0, 1]")
         # cols[l] = S_l^2 - Q_l for the functions l of fourier_eval: the
-        # constant, then sqrt(2) cos(2 pi p x) at l = 2p - 1 and sqrt(2)
-        # sin(2 pi p x) at l = 2p, every frequency of a block in one pass
-        top = max(fourier)
-        freqs = 2.0 * np.pi * np.arange(1, (top + 1) // 2 + 1)
+        # constant, then rows 2.. of multiple_angles(2 pi x), every function
+        # of a block in one stacked (function, row, obs) pass
+        degrees = np.array([models[c].degree for c in fourier])
+        top = int(degrees.max())
         cols = np.empty((top + 1, b))
         cols[0] = n * n - n
-        for blk in _row_blocks(b, n * freqs.size):
-            angles = freqs[:, None, None] * x[blk]
-            for first, vals in ((1, np.cos(angles)), (2, np.sin(angles[: top // 2]))):
-                vals *= _SQRT2
-                S = vals.sum(axis=-1)
-                cols[first::2, blk] = S * S - (vals * vals).sum(axis=-1)
-        fourier_cums = np.cumsum(cols, axis=0)
-        for col, m in enumerate(models):
-            if m.family is BasisFamily.FOURIER:
-                out[:, col] = fourier_cums[m.degree] / (n * (n - 1))
+        for blk in _row_blocks(b, n * (top + 2)):
+            vals = multiple_angles(2.0 * np.pi * x[blk], top + 2, sines=True)[2:]
+            vals *= _SQRT2
+            S = vals.sum(axis=-1)
+            cols[1:, blk] = S * S - (vals * vals).sum(axis=-1)
+        out[:, fourier] = (np.cumsum(cols, axis=0)[degrees] / (n * (n - 1))).T
     return out
 
 

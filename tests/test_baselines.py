@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from numpy.polynomial import legendre as npleg
 
 from adagof.baselines import (
     BaselineKind,
+    _cosine_colsums,
     bickel_ritov_statistic,
     bickel_ritov_statistic_batch,
     calibrate_baseline,
@@ -16,6 +18,7 @@ from adagof.baselines import (
     ks_statistic,
 )
 from adagof.errors import BudgetTooSmallError, InvalidInputError, SupportViolationError
+from adagof.estimators import _BLOCK_ELEMENTS
 from adagof.null_models import Exponential, Uniform01
 from adagof.streams import derive_stream
 
@@ -114,6 +117,33 @@ class TestBickelRitov:
     def test_domain_check(self):
         with pytest.raises(InvalidInputError):
             bickel_ritov_statistic(np.array([1.5]), 10)
+
+    @pytest.mark.parametrize("d_of_n", [1, 12, 20])
+    def test_recurrence_matches_libm_cosines(self, d_of_n):
+        # several row blocks; np.cos of every multiple angle is the oracle and
+        # the l = 1 sums are libm's own
+        n = 100
+        rows = 3 * max(1, _BLOCK_ELEMENTS // (n * (d_of_n + 1))) + 1
+        x = np.random.default_rng(18 + d_of_n).random((rows, n))
+        x[::4, 0], x[1::5, -1] = 0.0, 1.0
+        sums = np.stack([np.cos(l * np.pi * x).sum(axis=1) for l in range(1, d_of_n + 1)])
+        got = _cosine_colsums(x, d_of_n)
+        np.testing.assert_allclose(got, sums, rtol=1e-12, atol=1e-12)
+        assert got[0].tobytes() == sums[0].tobytes()
+        t_nd = np.cumsum(2.0 * sums * sums / n, axis=0)
+        dims = np.arange(1, d_of_n + 1)[:, None]
+        want = ((t_nd - dims) / np.sqrt(2.0 * dims)).max(axis=0)
+        np.testing.assert_allclose(
+            bickel_ritov_statistic_batch(x, d_of_n), want, rtol=1e-12, atol=1e-12
+        )
+
+    def test_golden(self):
+        # recorded on the Chebyshev-recurrence cosines
+        x = np.random.default_rng(5).random((300, 100))
+        stats = bickel_ritov_statistic_batch(x, 12)
+        assert hashlib.sha256(stats.tobytes()).hexdigest() == (
+            "f0d793370fac7b1fe3289891cb9857305784b233482918cd87b8bf15cf38c99f"
+        )
 
 
 class TestKallenbergLedwina:

@@ -12,6 +12,7 @@ from adagof.bases import (
     bin_counts,
     bin_index,
     fourier_eval,
+    multiple_angles,
 )
 from adagof.errors import InvalidInputError
 
@@ -53,6 +54,52 @@ class TestFourier:
     def test_domain_check(self):
         with pytest.raises(InvalidInputError):
             fourier_eval(1, 1.2)
+
+    def test_recurrence_matches_libm_trig(self):
+        # every value comes from cos(2 pi x) and sin(2 pi x) by the Chebyshev
+        # recurrence; np.cos/np.sin of the multiple angle is the oracle
+        x = np.concatenate([
+            [0.0, 0.25, 0.5, 1.0],
+            np.linspace(0.0, 1.0, 2001),
+            np.clip(0.5 + np.linspace(-1e-3, 1e-3, 201), 0.0, 1.0),  # theta near pi
+            np.random.default_rng(13).random(2000),
+        ])
+        for l in range(1, 129):
+            p = (l + 1) // 2
+            trig = np.cos if l % 2 == 1 else np.sin
+            want = SQRT2 * trig(2.0 * np.pi * p * x)
+            got = fourier_eval(l, x)
+            assert np.abs(got - want).max() <= 5e-13, l
+            if p == 1:  # the first harmonic is libm's own
+                assert got.tobytes() == want.tobytes(), l
+
+    def test_scalar_input_gives_float(self):
+        for l in (0, 1, 2, 7, 128):
+            value = fourier_eval(l, 0.3)
+            assert type(value) is float
+            assert value == fourier_eval(l, np.array([0.3]))[0]
+            assert value == fourier_eval(l, np.array(0.3))
+
+
+class TestMultipleAngles:
+    def test_layout(self):
+        theta = np.array([[0.3, 1.1], [2.0, 3.0]])
+        cosines = multiple_angles(theta, 5)
+        mixed = multiple_angles(theta, 7, sines=True)
+        assert cosines.shape == (5, 2, 2) and mixed.shape == (7, 2, 2)
+        assert np.all(cosines[0] == 1.0) and np.all(mixed[0] == 1.0) and np.all(mixed[1] == 0.0)
+        for p in range(5):
+            np.testing.assert_allclose(cosines[p], np.cos(p * theta), rtol=0, atol=1e-14)
+        for p in range(1, 4):
+            np.testing.assert_allclose(mixed[2 * p], np.cos(p * theta), rtol=0, atol=1e-14)
+        for p in range(1, 3):
+            np.testing.assert_allclose(mixed[2 * p + 1], np.sin(p * theta), rtol=0, atol=1e-14)
+
+    def test_rows_do_not_depend_on_the_count_or_the_sines(self):
+        theta = np.random.default_rng(15).random(50) * np.pi
+        long, short = multiple_angles(theta, 13), multiple_angles(theta, 4)
+        assert long[:4].tobytes() == short.tobytes()
+        assert multiple_angles(theta, 24, sines=True)[::2].tobytes() == long[:12].tobytes()
 
 
 def _simpson_inner_product(f, g, panels=2**14):

@@ -292,6 +292,18 @@ def test_table_json_round_trip_keeps_every_field(composite_tables):
         _assert_same_fields(_json_round_trip(table), table)
 
 
+def test_fourier_table_json_round_trip_is_byte_exact():
+    # Fourier thresholds come from the recurrence's last bits; JSON keeps all
+    models = [ModelIndex(FOURIER, degree) for degree in range(1, 7)] + [ModelIndex(PW, 3)]
+    table = calibrate(Uniform01(), models, 30, 0.05, 300, 300, 20, seed=6)
+    back = _json_round_trip(table)
+    _assert_same_fields(back, table)
+    for field in dataclasses.fields(table):
+        want = getattr(table, field.name)
+        if isinstance(want, np.ndarray):
+            assert getattr(back, field.name).tobytes() == want.tobytes(), field.name
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     relative_span=st.floats(min_value=1.0, exclude_min=True, allow_nan=False, allow_infinity=False),

@@ -376,14 +376,22 @@ class TestBatchedSimpleStats:
                 assert batch[r, c] == pytest.approx(_oracle_t_hat(samples[r], m, d), abs=1e-13)
 
 
-def _fourier_reference(samples, top, d):
-    """``t_hat`` for fourier:1..top, one ``fourier_eval`` pass per function,
+def _libm_fourier(l, x):
+    """The l-th trigonometric function from np.cos/np.sin of the multiple angle."""
+    if l == 0:
+        return np.ones_like(x)
+    p = (l + 1) // 2
+    return math.sqrt(2.0) * (np.cos if l % 2 == 1 else np.sin)(2.0 * np.pi * p * x)
+
+
+def _fourier_reference(samples, top, d, evaluate=fourier_eval):
+    """``t_hat`` for fourier:1..top, one ``evaluate`` pass per function,
     with the summation order of the kernel."""
     x = np.sort(samples, axis=1)
     n = x.shape[1]
     cols = []
     for l in range(top + 1):
-        vals = fourier_eval(l, x)
+        vals = evaluate(l, x)
         S = vals.sum(axis=1)
         cols.append(S * S - (vals * vals).sum(axis=1))
     theta = np.cumsum(cols, axis=0)[1:].T / (n * (n - 1))
@@ -391,7 +399,7 @@ def _fourier_reference(samples, top, d):
 
 
 def _fourier_block_rows(n, top):
-    return max(1, estimators._BLOCK_ELEMENTS // (n * ((top + 1) // 2)))
+    return max(1, estimators._BLOCK_ELEMENTS // (n * (top + 2)))
 
 
 @pytest.mark.parametrize("n", [2, 100, 1001])
@@ -408,6 +416,32 @@ def test_stacked_fourier_matches_per_function_reference_bit_for_bit(top, n):
         want = _fourier_reference(samples, top, Uniform01())
         assert got.tobytes() == want.tobytes(), (top, n, rows)
     assert simple_stats_batch(np.empty((0, n)), models, Uniform01()).shape == (0, top)
+
+
+@pytest.mark.parametrize("n", [2, 50, 100])
+def test_fourier_columns_match_libm_trig(n):
+    # the kernel's recurrence against np.cos/np.sin of every multiple angle,
+    # on batches of several row blocks; the first harmonic is libm's own
+    top = 12
+    rows = 3 * _fourier_block_rows(n, top) + 1
+    samples = np.random.default_rng(16 + n).random((rows, n))
+    samples[::5, 0] = 0.0
+    samples[1::7, -1] = 1.0
+    models = [ModelIndex(FOURIER, degree) for degree in range(1, top + 1)]
+    got = simple_stats_batch(samples, models, Uniform01())
+    want = _fourier_reference(samples, top, Uniform01(), evaluate=_libm_fourier)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+    assert got[:, :2].tobytes() == np.ascontiguousarray(want[:, :2]).tobytes()
+
+
+def test_single_row_calls_equal_the_batch():
+    from adagof.harness import mixed_models
+
+    samples = np.random.default_rng(17).random((7, 100))
+    models = pinned_order(mixed_models(12, 10))[::-1]  # fourier columns first
+    batch = simple_stats_batch(samples, models, Uniform01())
+    for row, sample in zip(batch, samples):
+        assert row.tobytes() == simple_stats_batch(sample[None], models, Uniform01())[0].tobytes()
 
 
 @pytest.mark.parametrize("bad", [np.nextafter(1.0, 2.0), -1e-300])
@@ -642,7 +676,7 @@ def test_scale_search_golden(kind, policy):
     assert digest == GOLDEN_SEARCH[kind, policy]
 
 
-def test_simple_stats_golden():
+def _golden_simple_stats():
     from adagof.harness import mixed_models
 
     rng = np.random.default_rng(4)
@@ -652,6 +686,21 @@ def test_simple_stats_golden():
     x[::7, -1] = 1.0  # the upper-edge clamp
     stats = simple_stats_batch(x, mixed_models(12, 10), Uniform01())
     assert stats.shape == (300, 21)
-    assert hashlib.sha256(stats.tobytes()).hexdigest() == (
-        "e122eeee3d28e3ccb5f3d0e13d8755eb1c5f91b2a9025960edab8c4d93d3c494"
+    return stats
+
+
+def test_simple_stats_golden_piecewise():
+    # the nine piecewise columns: recorded before the flat pair counter and
+    # before the Fourier recurrence, and unchanged by both
+    stats = _golden_simple_stats()
+    assert hashlib.sha256(np.ascontiguousarray(stats[:, :9]).tobytes()).hexdigest() == (
+        "89ff29ad636c39e462ac276e52315a3a442ea396d5c4d1cae796aee8f75a3ada"
+    )
+
+
+def test_simple_stats_golden():
+    # the whole matrix, recorded on the Chebyshev-recurrence Fourier columns
+    # (with np.cos/np.sin of every multiple angle it was e122eeee3d28...)
+    assert hashlib.sha256(_golden_simple_stats().tobytes()).hexdigest() == (
+        "f650a4dea4eab7a9864cd6062343b675042d2e811037f89db2df68413e4c5593"
     )
