@@ -28,10 +28,16 @@ and appends each lane's accepted values in order, so each lane consumes
 exactly the uniforms a one-lane call on its generator would.  Their inner
 steps return the draws of all lanes as one flat array, lane after lane.
 
-``scipy.special`` is imported inside the samplers and densities that use it,
-once per call and before a sampler's first lane draw: it adds about 20 MB of
-RSS to every process importing adagof, and the uniform and exponential nulls
-never need it.
+A multi-pass sampler reserves each fresh lane's prefix before its first
+draw (``LaneBlock.reserve``), so a lane is drawn once, not once for the first
+request and again, longer, for the next.
+
+Normal variates (the Marsaglia-Tsang proposals, ``norm:g`` and ``exp:t``) come
+from :func:`adagof.null_models.ndtri`, a numpy port of the Cephes quantile
+that ``scipy.special.ndtri`` computes, equal to it bit for bit.  Sampling
+never loads ``scipy.special``: it adds about 18 MB of RSS to a process.  The
+Beta and Gamma pdfs (``gammaln``) import it on first use, and
+``alt_l2_distance_sq`` imports ``scipy.integrate``.
 """
 
 from __future__ import annotations
@@ -45,7 +51,7 @@ import numpy as np
 
 from .bases import legendre_polys
 from .errors import InvalidInputError, parse_fields
-from .null_models import _TINY, Exponential, NullDensity, Uniform01, check_sample_size
+from .null_models import _TINY, Exponential, NullDensity, Uniform01, check_sample_size, ndtri
 from .null_models import _unit_uniforms as _unit
 from .streams import LaneBlock, as_lanes
 
@@ -55,9 +61,12 @@ _EXP = Exponential()
 
 def _lanes(stream, n):
     """The lane block of ``stream`` and the draws each lane owes: ``n`` on
-    every lane, or one count per lane."""
+    every lane, or one count per lane.  Only the multi-pass samplers call
+    it, so it reserves the prefix of each lane that has drawn nothing yet."""
     lanes = as_lanes(stream)
-    return lanes, np.broadcast_to(np.asarray(n, dtype=np.intp), (lanes.rows,))
+    want = np.broadcast_to(np.asarray(n, dtype=np.intp), (lanes.rows,))
+    lanes.reserve(want)
+    return lanes, want
 
 
 def _flat(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -74,13 +83,6 @@ def _append(out: np.ndarray, filled: np.ndarray, values: np.ndarray, ok: np.ndar
     first = np.cumsum(taken) - taken
     out[rows, filled[rows] + np.arange(rows.size) - first[rows]] = values[rows, cols]
     return filled + taken
-
-
-def _import_special() -> None:
-    """Import ``scipy.special`` ahead of a mixture sampler's first lane draw,
-    for ``_gamma`` to use later.  Its first import allocates a few MB for a
-    moment, which would otherwise add to the block's drawn lanes."""
-    from scipy import special  # noqa: F401
 
 
 def _lanewise(draw):
@@ -189,13 +191,11 @@ def gamma_sample(stream, shape: float, n) -> np.ndarray:
     if shape < 1.0:
         boost = _flat(_unit(lanes, want), want) ** (1.0 / shape)
         return _gamma(lanes, shape + 1.0, want) * boost
-    from scipy import special  # once per call, not per rejection pass
-
     d = shape - 1.0 / 3.0
     c = 1.0 / math.sqrt(9.0 * d)
 
     def propose(lanes, k):
-        z = special.ndtri(_unit(lanes, k))
+        z = ndtri(_unit(lanes, k))
         u = _unit(lanes, k)
         v = (1.0 + c * z) ** 3
         ok = (v > 0.0) & (np.log(u) < 0.5 * z * z + d - d * v + d * np.log(np.maximum(v, _TINY)))
@@ -302,7 +302,7 @@ def _mixture(prefix: str, params: dict, base, part, eps: float, support, quad_wi
 
     @_lanewise
     def sampler(lanes, n):
-        _import_special()
+        lanes.reserve(n)
         return _fill(lanes, lanes.random(n) >= eps, base_draw, part_draw)
 
     return _spec(prefix, params, pdf, sampler, support, quad_window)
@@ -377,10 +377,8 @@ def gaussian_location_mixture(m: float, var: float) -> AlternativeSpec:
         return (a + b) / (2.0 * _SQRT_2PI * sd)
 
     def sampler(stream, n):
-        from scipy import special
-
         centre = np.where(stream.random(n) < 0.5, m, -m)
-        return centre + sd * special.ndtri(_unit(stream, n))
+        return centre + sd * ndtri(_unit(stream, n))
 
     w = abs(m) + 8.0 * sd
     return _spec("norm:g", {"m": m, "var": var}, pdf, sampler, (-math.inf, math.inf), (-w, w))
@@ -420,6 +418,7 @@ def _half_exp_half_unit(prefix: str, params: dict, bump: Callable) -> Alternativ
 
     @_lanewise
     def sampler(lanes, n):
+        lanes.reserve(n)
         return _fill(lanes, lanes.random(n) < 0.5, _exp_part, unit_draw)
 
     return _spec(prefix, params, pdf, sampler, (0.0, math.inf), (0.0, 40.0))
@@ -465,9 +464,7 @@ def lognormal_alt() -> AlternativeSpec:
         return np.where(inside, vals, 0.0)
 
     def sampler(stream, n):
-        from scipy import special
-
-        return np.exp(special.ndtri(_unit(stream, n)))
+        return np.exp(ndtri(_unit(stream, n)))
 
     return _spec("exp:t", {}, pdf, sampler, (0.0, math.inf), (0.0, 1200.0))
 

@@ -49,8 +49,9 @@ _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 _BLOCK = 512  # replicates whose states one set of uint32 passes derives, and
 # the lanes of one lane block
-_GROWTH = 5  # a grown lane's prefix over its first draw: every catalog
-# sampler takes 1 to 5 uniforms per observation
+_GROWTH = 5  # uniforms a multi-pass sampler reserves per observation, and a
+# grown lane's prefix over its last: every catalog sampler takes 1 to 5
+# uniforms per observation
 
 
 def _label_words(label: str) -> list[int]:
@@ -165,7 +166,8 @@ class LaneBlock:
 
     Each lane keeps a drawn prefix of its stream and a cursor into it.  A lane
     asked for more than its prefix holds is drawn again from the start of its
-    stream, longer, so its bits do not depend on when it grew.
+    stream, longer, so its bits do not depend on when it grew, nor on what a
+    sampler reserved.
     """
 
     def __init__(self, states: list[tuple[int, int]]) -> None:
@@ -189,21 +191,33 @@ class LaneBlock:
         short = np.flatnonzero(stop > self._drawn)
         if short.size:
             self._extend(short, stop[short])
-        cols = np.arange(counts.max(initial=0))
+        width = counts.max(initial=0)
+        cols = np.arange(width)
         index = (self._offset + self._cursor)[:, None] + cols
+        self._cursor = stop
+        if counts.min(initial=width) == width:
+            return self._buffer.take(index)
         pad = cols >= counts[:, None]
         index[pad] = 0
         out = self._buffer.take(index)
         out[pad] = 0.5
-        self._cursor = stop
         return out
+
+    def reserve(self, counts) -> None:
+        """Ahead of a multi-pass sampler's ``counts[i]`` observations on each
+        lane ``i`` (an int on every lane): draw each lane that has drawn
+        nothing yet to ``_GROWTH`` uniforms per observation at once, so that
+        its later passes need not draw it again."""
+        counts = np.broadcast_to(np.asarray(counts, dtype=np.intp), (self.rows,))
+        fresh = np.flatnonzero((self._drawn == 0) & (counts > 0))
+        if fresh.size:
+            self._extend(fresh, _GROWTH * counts[fresh])
 
     def _extend(self, lanes: np.ndarray, need: np.ndarray) -> None:
         """Draw each of ``lanes`` again, from the start of its stream, to at
         least ``need`` uniforms.  A lane's first draw is exactly its first
-        request (a null sampler's only one); after that it grows to
-        ``_GROWTH`` times its prefix, so a rejection or mixture sampler draws
-        most lanes twice."""
+        request or reservation (a null sampler's only one); after that it
+        grows to ``_GROWTH`` times its prefix."""
         drawn = self._drawn[lanes]
         size = np.where(drawn == 0, need, np.maximum(need, _GROWTH * drawn))
         offset = self._buffer.size + np.cumsum(size) - size
@@ -230,6 +244,9 @@ class _OneLane:
 
     def random(self, counts) -> np.ndarray:
         return self._generator.random(int(np.max(counts)))[None, :]
+
+    def reserve(self, counts) -> None:
+        """A generator draws as it is asked."""
 
 
 def as_lanes(stream):

@@ -317,12 +317,39 @@ print(sorted(m for m in ("scipy.special", "scipy.integrate") if m in sys.modules
 """
 
 
-def test_uniform_and_exponential_decisions_do_not_load_scipy_special():
-    # a fresh interpreter: this test process may have loaded them already
+def _fresh_interpreter_output(script: str) -> str:
+    # a fresh interpreter: this test process may have loaded scipy.special already
     src = str(Path(adagof.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run(
-        [sys.executable, "-c", _DECIDE_WITHOUT_SCIPY_SPECIAL],
-        env=env, capture_output=True, text=True, check=True,
-    ).stdout
-    assert out.strip() == "[]"
+    return subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True,
+    ).stdout.strip()
+
+
+def test_uniform_and_exponential_decisions_do_not_load_scipy_special():
+    assert _fresh_interpreter_output(_DECIDE_WITHOUT_SCIPY_SPECIAL) == "[]"
+
+
+# T3 is left out: its Gaussian null's cdf is scipy.special.ndtr
+_SAMPLE_WITHOUT_SCIPY_SPECIAL = """
+import sys
+from adagof.harness import ExperimentConfig, ModelParams, TestKind, estimate_power, reproduce_table
+for table in ("T1", "T2", "T4"):
+    reproduce_table(table, seed=1, scale=0.012)
+estimate_power(ExperimentConfig(
+    test=TestKind.TTR, null="uniform", n=20, model_params=ModelParams(d_tr=3),
+    alternatives=("f:0.5,2", "g:10,20,0.25", "h:0.3,5"),
+    reps_power=100, reps_level=100, calib=(100, 100), seed=1,
+), build_missing=True)
+estimate_power(ExperimentConfig(
+    test=TestKind.KS_EXP, null="exponential", n=20, alternatives=("exp:t", "exp:k:10,20,0.25"),
+    reps_power=100, reps_level=1000, calib=(1000, 1000), seed=1,
+), build_missing=True)
+print(sorted(m for m in ("scipy.special", "scipy.integrate") if m in sys.modules))
+"""
+
+
+def test_tables_and_power_rows_that_sample_normals_do_not_load_scipy_special():
+    # the Marsaglia-Tsang proposals (g:, exp:k:) and exp:t draw through
+    # null_models.ndtri
+    assert _fresh_interpreter_output(_SAMPLE_WITHOUT_SCIPY_SPECIAL) == "[]"

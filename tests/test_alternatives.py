@@ -34,7 +34,7 @@ from adagof.alternatives import (
 from adagof.calibration import draw_samples
 from adagof.errors import InvalidInputError
 from adagof.null_models import Exponential, Uniform01, null_from_spec
-from adagof.streams import _BLOCK, LaneBlock, derive_stream
+from adagof.streams import _BLOCK, LaneBlock, derive_stream, lane_blocks
 
 CATALOG_IDS = [
     "f:0.5,2", "f:0.7,4", "f:0.7,6",
@@ -344,12 +344,17 @@ def test_lanes_that_outgrow_their_prefix_more_than_once(monkeypatch):
         extend(self, lanes, need)
 
     monkeypatch.setattr(LaneBlock, "_extend", counted)
-    # n = 1: each lane's first draw is one uniform, the rejection pass needs more
-    sample = _draw_function("h:0.3,5")
-    draws = draw_samples(sample, 1, 22, "grow", 0, 200)
+    # the block is driven directly, since a sampler reserves enough for most
+    # lanes never to grow: each request outgrows the prefix the requests
+    # before it left (1 uniform, then 5 to 8, then 25 to 44), on ragged counts
+    lanes = np.arange(200)
+    counts = [np.ones_like(lanes), 1 + lanes % 7, 6 + lanes % 31]
+    block = next(lane_blocks(22, "grow", 0, 200))
+    rows = [block.random(c) for c in counts]
     assert max(grown.values()) >= 3
-    for r, row in enumerate(draws):
-        np.testing.assert_array_equal(row, sample(1, derive_stream(22, "grow", r)))
+    for r in lanes:
+        got = np.concatenate([row[r, : c[r]] for row, c in zip(rows, counts)])
+        np.testing.assert_array_equal(got, derive_stream(22, "grow", r).random(got.size))
 
 
 

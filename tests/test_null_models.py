@@ -10,6 +10,7 @@ from adagof.null_models import (
     Exponential,
     Gaussian,
     Uniform01,
+    ndtri,
     null_from_spec,
     transform_to_uniform,
 )
@@ -113,6 +114,52 @@ class TestSampling:
     def test_sample_size_must_be_a_positive_integer(self, d, n):
         with pytest.raises(InvalidInputError, match="sample size"):
             d.sample(n, derive_stream(5, "size", 0))
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype == np.float64
+    same = (got.view(np.int64) == want.view(np.int64)) | (np.isnan(got) & np.isnan(want))
+    assert same.all(), (got[~same][:5], want[~same][:5])
+
+
+# the inputs either side of each branch switch of Cephes ndtri
+_NDTRI_EDGES = [
+    0.0, 1.0, 5e-324, np.nextafter(1.0, 0.0), math.exp(-2.0), 1.0 - math.exp(-2.0),
+    math.exp(-32.0), 1.0 - math.exp(-32.0), 0.5, math.nan, -0.1, 1.1, math.inf, -math.inf,
+]
+
+
+class TestNdtri:
+    """null_models.ndtri against scipy.special.ndtri, bit for bit."""
+
+    def test_uniforms(self):
+        from scipy import special
+
+        y = np.random.default_rng(15).random(1_000_000)
+        _same_bits(ndtri(y), special.ndtri(y))
+
+    def test_log_spaced_tails_from_both_ends(self):
+        from scipy import special
+
+        tiny = np.logspace(-300.0, 0.0, 200_001)
+        for y in (tiny, 1.0 - tiny, np.nextafter(1.0, 0.0) - tiny * 1e-3):
+            _same_bits(ndtri(y), special.ndtri(y))
+
+    def test_edges_and_shapes(self):
+        from scipy import special
+
+        edges = np.array(_NDTRI_EDGES)
+        near = np.concatenate([np.nextafter(edges, -np.inf), edges, np.nextafter(edges, np.inf)])
+        with np.errstate(all="raise"):
+            got = ndtri(near)
+        _same_bits(got, special.ndtri(near))
+        assert ndtri(0.0) == -math.inf and ndtri(1.0) == math.inf and ndtri(0.5) == 0.0
+        square = near[: 4 * (near.size // 4)].reshape(4, -1)
+        _same_bits(ndtri(square), special.ndtri(square))
+        for y in (0.3, 1e-20, 0.999):
+            _same_bits(ndtri(np.array(y)), special.ndtri(np.array(y)))
+        _same_bits(ndtri(np.empty((0, 3))), special.ndtri(np.empty((0, 3))))
 
 
 class TestTransformToUniform:

@@ -11,7 +11,7 @@ import pytest
 from adagof.alternatives import from_id
 from adagof.calibration import draw_samples
 from adagof.null_models import Exponential, Uniform01
-from adagof.streams import _BLOCK, _MASK64, _replicate_states, derive_stream, lane_blocks
+from adagof.streams import _BLOCK, _MASK64, LaneBlock, _replicate_states, derive_stream, lane_blocks
 
 K = 7
 
@@ -88,6 +88,26 @@ def test_ragged_counts_draw_each_lane_in_order():
         # the padding of a short row is 0.5, never a draw
         for r, c in zip(rows, counts):
             assert np.all(r[lane, c[lane] :] == 0.5)
+
+
+def test_reserved_lanes_draw_once_and_keep_their_bits(monkeypatch):
+    drawn = []
+    extend = LaneBlock._extend
+
+    def counted(self, lanes, need):
+        drawn.extend(lanes.tolist())
+        extend(self, lanes, need)
+
+    monkeypatch.setattr(LaneBlock, "_extend", counted)
+    block = next(lane_blocks(24, "reserve", 0, 4))
+    block.reserve([3, 0, 1, 2])  # 15, 0, 5 and 10 uniforms
+    block.reserve([9, 0, 9, 9])  # a lane that has drawn is left as it is
+    counts = [[4, 2, 5, 6], [11, 0, 0, 4]]  # each reserved lane's whole prefix
+    rows = [block.random(c) for c in counts]
+    assert drawn == [0, 2, 3, 1]  # lane 1 on its first request
+    for lane in range(4):
+        got = np.concatenate([r[lane, : c[lane]] for r, c in zip(rows, counts)])
+        np.testing.assert_array_equal(got, derive_stream(24, "reserve", lane).random(got.size))
 
 
 def _reference_samples(sample, n, seed, label, start, stop):
