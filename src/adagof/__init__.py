@@ -30,8 +30,6 @@ from .calibration import (
     StatisticKind,
     calibrate,
     calibrate_collections,
-    estimate_thresholds,
-    select_u_alpha,
 )
 from .errors import (
     AdagofError,

@@ -6,12 +6,15 @@ fresh batch and picks the largest grid u whose sup-test exceeds its
 thresholds with frequency at most alpha.  The same machinery calibrates the
 composite scale-invariant statistic; only the statistic kind changes.
 
-Collections calibrated under the same null, sample size, budgets, seed and
-statistic draw the same null samples, so :func:`calibrate_collections`
-simulates each stage once on the union of their models and hands every
-table its own columns.  A statistic column depends only on its own model,
-so each table is bit for bit the one a separate :func:`calibrate` builds;
-:func:`calibrate` is the one-collection case.
+:func:`calibrate_collections` is the one path from null simulations to a
+table; :func:`calibrate` is its one-collection case.  Collections calibrated
+under the same null, sample size, budgets, seed and statistic draw the same
+null samples, so it simulates each stage once on the union of their models
+and hands every table its own columns.  A statistic column depends only on
+its own model, so each table is bit for bit the one a separate
+:func:`calibrate` builds.  The stage computations stay public for callers
+that run the stages on their own: :func:`simulate_null_stats`,
+:func:`threshold_matrix` and :func:`level_curve_from_stats`.
 
 Quantiles are the order statistic of rank ``ceil((1 - u) B)`` (1-indexed,
 ascending) -- no interpolation, which never understates a threshold.
@@ -39,6 +42,7 @@ from .errors import (
 from .estimators import (
     ModelIndex,
     ScaleSearchPolicy,
+    _union_columns,
     composite_scale_stats_batch,
     pinned_order,
     simple_stats_batch,
@@ -140,37 +144,6 @@ def _validate_u_grid(u_grid: np.ndarray) -> np.ndarray:
     return u
 
 
-def estimate_thresholds(
-    d: NullDensity,
-    models: list[ModelIndex],
-    n: int,
-    B1: int,
-    u_grid: np.ndarray,
-    statistic_kind: StatisticKind = StatisticKind.SIMPLE,
-    seed: int = 0,
-    policy: ScaleSearchPolicy | None = None,
-    workers: int = 1,
-    label: str = "calib:thresholds",
-) -> np.ndarray:
-    """Simulate B1 null replicates and return the (model, u) threshold matrix."""
-    _check_budget(B1, "threshold")
-    u = _validate_u_grid(u_grid)
-    stats = simulate_null_stats(d, models, n, B1, statistic_kind, seed, label, policy, workers)
-    return _thresholds(stats, u)
-
-
-def _check_budget(budget: int, stage: str) -> None:
-    if budget < 100:
-        raise BudgetTooSmallError(f"{stage} budget must be >= 100, got {budget}")
-
-
-def _thresholds(stats: np.ndarray, u: np.ndarray) -> np.ndarray:
-    thresholds = threshold_matrix(stats, u)
-    # rank is nonincreasing in u, so each row must be nonincreasing
-    assert np.all(np.diff(thresholds, axis=1) <= 0.0)
-    return thresholds
-
-
 def level_curve_from_stats(stats: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
     """Fraction of replicates where some model exceeds its threshold, per u.
 
@@ -179,46 +152,6 @@ def level_curve_from_stats(stats: np.ndarray, thresholds: np.ndarray) -> np.ndar
     """
     exceed = stats[:, :, None] > thresholds[None, :, :]
     return exceed.any(axis=1).mean(axis=0)
-
-
-def select_u_alpha(
-    d: NullDensity,
-    models: list[ModelIndex],
-    n: int,
-    B2: int,
-    thresholds: np.ndarray,
-    u_grid: np.ndarray,
-    alpha: float,
-    seed: int = 0,
-    statistic_kind: StatisticKind = StatisticKind.SIMPLE,
-    policy: ScaleSearchPolicy | None = None,
-    workers: int = 1,
-    label: str = "calib:level",
-) -> tuple[float, np.ndarray]:
-    """Pick the largest grid u whose estimated sup-test level is <= alpha.
-
-    The fresh batch must come from a stream independent of the threshold
-    batch (distinct label or seed).
-    """
-    _check_budget(B2, "level")
-    u = _validate_u_grid(u_grid)
-    stats = simulate_null_stats(d, models, n, B2, statistic_kind, seed, label, policy, workers)
-    return _u_alpha(stats, thresholds, u, alpha)
-
-
-def _u_alpha(
-    stats: np.ndarray, thresholds: np.ndarray, u: np.ndarray, alpha: float
-) -> tuple[float, np.ndarray]:
-    levels = level_curve_from_stats(stats, thresholds)
-    assert np.all(np.diff(levels) >= 0.0)
-    ok = np.nonzero(levels <= alpha)[0]
-    if ok.size == 0:
-        raise CalibrationFailureError(
-            f"estimated level exceeds {alpha} on the whole u grid; densify it downward",
-            u,
-            levels,
-        )
-    return float(u[ok[-1]]), levels
 
 
 def _json_floats(doc: dict, key: str) -> np.ndarray:
@@ -372,32 +305,41 @@ def calibrate_collections(
         raise InvalidInputError(f"alpha must lie in (0, 1), got {alpha}")
     if u_grid_size < 1:
         raise InvalidInputError("u grid size must be >= 1")
-    _check_budget(B1, "threshold")
-    _check_budget(B2, "level")
-    ordered = [pinned_order(models) for models in collections]
-    union = pinned_order(set().union(*ordered))
+    for budget, stage in ((B1, "threshold"), (B2, "level")):
+        if budget < 100:
+            raise BudgetTooSmallError(f"{stage} budget must be >= 100, got {budget}")
+    union, columns = _union_columns([pinned_order(models) for models in collections])
     if statistic_kind is StatisticKind.COMPOSITE_INVARIANT and policy is None:
         policy = ScaleSearchPolicy()
     u_grid = alpha * np.arange(1, u_grid_size + 1) / u_grid_size
-    stage_stats = [
+    first, second = (
         simulate_null_stats(d, union, n, B, statistic_kind, seed, label, policy, workers)
         for B, label in ((B1, "calib:thresholds"), (B2, "calib:level"))
-    ]
+    )
     tables = []
-    for models in ordered:
-        columns = [union.index(m) for m in models]
-        thresholds = _thresholds(stage_stats[0][:, columns], u_grid)
-        u_alpha, levels = _u_alpha(stage_stats[1][:, columns], thresholds, u_grid, alpha)
-        idx = int(np.nonzero(u_grid == u_alpha)[0][0])
+    for cols in columns:
+        thresholds = threshold_matrix(first[:, cols], u_grid)
+        # rank is nonincreasing in u, so each row must be nonincreasing
+        assert np.all(np.diff(thresholds, axis=1) <= 0.0)
+        levels = level_curve_from_stats(second[:, cols], thresholds)
+        assert np.all(np.diff(levels) >= 0.0)
+        ok = np.nonzero(levels <= alpha)[0]
+        if ok.size == 0:
+            raise CalibrationFailureError(
+                f"estimated level exceeds {alpha} on the whole u grid; densify it downward",
+                u_grid,
+                levels,
+            )
+        idx = int(ok[-1])
         tables.append(CalibrationTable(
             statistic_kind=statistic_kind,
             null=d,
             n=n,
             alpha=alpha,
-            models=tuple(models),
+            models=tuple(union[j] for j in cols),
             u_grid=u_grid,
             thresholds=thresholds,
-            u_alpha=u_alpha,
+            u_alpha=float(u_grid[idx]),
             thresholds_at_u_alpha=thresholds[:, idx].copy(),
             level_curve=levels,
             budgets=(B1, B2),

@@ -91,6 +91,14 @@ def pinned_order(models) -> list[ModelIndex]:
     return sorted(models, key=lambda m: (key[m.family], m.degree))
 
 
+def _union_columns(collections) -> tuple[list[ModelIndex], list[list[int]]]:
+    """The pinned-order union of model collections, and each collection's
+    column indices into it, in the collection's own order."""
+    union = pinned_order(set().union(*collections))
+    column = {m: j for j, m in enumerate(union)}
+    return union, [[column[m] for m in models] for models in collections]
+
+
 @dataclass(frozen=True)
 class ScaleSearchPolicy:
     """Search domain standing in for the infimum over all scales.

@@ -18,7 +18,9 @@ column depends only on its model.
 
 from __future__ import annotations
 
+import csv
 import dataclasses
+import io
 import json
 import math
 import time
@@ -53,8 +55,8 @@ from .errors import (
 from .estimators import (
     ModelIndex,
     ScaleSearchPolicy,
+    _union_columns,
     composite_scale_stats_batch,
-    pinned_order,
     simple_stats_batch,
 )
 from .null_models import NullDensity, null_from_spec, transform_to_uniform
@@ -80,7 +82,6 @@ __all__ = [
     "derive_stream",
     "trigonometric_models",
     "mixed_models",
-    "direct_models",
     "scale_models",
 ]
 
@@ -102,17 +103,13 @@ def trigonometric_models(d_tr: int) -> list[ModelIndex]:
     return [ModelIndex(BasisFamily.FOURIER, d) for d in range(1, d_tr + 1)]
 
 
-def mixed_models(d_tr: int, d_ct: int) -> list[ModelIndex]:
-    pw = [ModelIndex(BasisFamily.PIECEWISE_CONSTANT, d) for d in range(2, d_ct + 1)]
-    return pw + trigonometric_models(d_tr)
-
-
-def direct_models(d_lo: int = 1, d_hi: int = 10) -> list[ModelIndex]:
-    return [ModelIndex(BasisFamily.PIECEWISE_CONSTANT, d) for d in range(d_lo, d_hi + 1)]
-
-
 def scale_models(d_lo: int = 2, d_hi: int = 10) -> list[ModelIndex]:
+    """Piecewise-constant models of degrees ``d_lo .. d_hi``."""
     return [ModelIndex(BasisFamily.PIECEWISE_CONSTANT, d) for d in range(d_lo, d_hi + 1)]
+
+
+def mixed_models(d_tr: int, d_ct: int) -> list[ModelIndex]:
+    return scale_models(2, d_ct) + trigonometric_models(d_tr)
 
 
 # Adaptive test -> (null spec its table is calibrated under, or None for the
@@ -126,7 +123,7 @@ _ADAPTIVE = {
         "uniform", lambda mp: mixed_models(mp.d_tr or 6, mp.d_ct or 6), StatisticKind.SIMPLE
     ),
     TestKind.TD: (
-        None, lambda mp: direct_models(*(mp.d_range or (1, 10))), StatisticKind.SIMPLE
+        None, lambda mp: scale_models(*(mp.d_range or (1, 10))), StatisticKind.SIMPLE
     ),
     TestKind.COMPOSITE: (
         None,
@@ -254,15 +251,20 @@ class PowerReport:
     wall_clock_s: float = 0.0
 
     def to_csv(self) -> str:
-        lines = ["alternative,test,estimate,std_error,reps"]
-        for e in self.entries:
-            lines.append(
-                f"{e.alternative},{self.test},{e.power:.6f},{e.std_error:.6f},{e.reps}"
-            )
-        lines.append(
-            f"(null),{self.test},{self.level:.6f},{self.level_std_error:.6f},{self.reps_level}"
-        )
-        return "\n".join(lines) + "\n"
+        rows = [(e.alternative, self.test, e.power, e.std_error, e.reps) for e in self.entries]
+        rows.append(("(null)", self.test, self.level, self.level_std_error, self.reps_level))
+        return _csv_document(("alternative", "test", "estimate", "std_error", "reps"), rows)
+
+
+def _csv_document(header: tuple[str, ...], rows) -> str:
+    """CSV text, header first.  Floats get six decimals; a field that holds a
+    comma, such as the alternative ``f(0.5,2)``, is quoted."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([f"{v:.6f}" if isinstance(v, float) else v for v in row])
+    return out.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -306,11 +308,10 @@ def _decision_chunk(null, alt_id, n, columns, seed, label, start, stop) -> np.nd
             stats = composite_scale_stats_batch(x, table.models, table.null, table.policy)
             counts[k] = _rejections(stats, table)
     for (d, on_transform), members in unions.items():
-        ordered = pinned_order({m for k in members for m in columns[k].table.models})
-        stats = simple_stats_batch(inputs[on_transform], ordered, d)
-        for k in members:
-            table = columns[k].table
-            counts[k] = _rejections(stats[:, [ordered.index(m) for m in table.models]], table)
+        union, member_columns = _union_columns([columns[k].table.models for k in members])
+        stats = simple_stats_batch(inputs[on_transform], union, d)
+        for k, cols in zip(members, member_columns):
+            counts[k] = _rejections(stats[:, cols], columns[k].table)
     return counts
 
 
@@ -645,11 +646,7 @@ def reproduce_table(
     Rows appear in the preset's row-major order (alternatives as published,
     then the levels row); reruns with the same arguments are byte-identical.
     """
-    cells = table_cells(table_id, seed, scale, workers)
-    lines = ["table,null,section,alternative,test,estimate,std_error,reps"]
-    for c in cells:
-        lines.append(
-            f"{table_id},{c.null},{c.section},{c.alternative},{c.test},"
-            f"{c.estimate:.6f},{c.std_error:.6f},{c.reps}"
-        )
-    return "\n".join(lines) + "\n"
+    return _csv_document(
+        ("table", "null", "section", "alternative", "test", "estimate", "std_error", "reps"),
+        [(table_id, *dataclasses.astuple(c)) for c in table_cells(table_id, seed, scale, workers)],
+    )

@@ -31,7 +31,7 @@ from adagof.estimators import (
     simple_stats_batch,
     t_hat,
 )
-from adagof.harness import direct_models, mixed_models, scale_models
+from adagof.harness import mixed_models, scale_models
 from adagof.null_models import Exponential, Gaussian, Uniform01
 from adagof.streams import derive_stream
 
@@ -231,7 +231,7 @@ class TestDecisionsUseTheKernel:
 
     def test_simple_gaussian_direct_collection(self):
         d = Gaussian(0.0, 1.0)
-        table = calibrate(d, direct_models(1, 10), n=100, alpha=0.05, B1=200, B2=200, seed=37)
+        table = calibrate(d, scale_models(1, 10), n=100, alpha=0.05, B1=200, B2=200, seed=37)
         rng = np.random.default_rng(38)
         samples = np.vstack([rng.normal(size=(100, 100)), rng.standard_t(4, (100, 100))])
         results = [run_simple_test(x, d, table) for x in samples]

@@ -13,9 +13,7 @@ from adagof.calibration import (
     StatisticKind,
     calibrate,
     calibrate_collections,
-    estimate_thresholds,
     level_curve_from_stats,
-    select_u_alpha,
     threshold_matrix,
 )
 from adagof.errors import (
@@ -45,29 +43,25 @@ class TestThresholdMatrix:
 
 
 class TestEstimateThresholds:
+    """Stage one of ``calibrate``: the (1-u) null quantiles of each model."""
+
     def test_degenerate_model_all_zero(self):
-        u_grid = np.linspace(0.005, 0.05, 10)
-        t = estimate_thresholds(
-            Uniform01(), [ModelIndex(PW, 1)], n=20, B1=200, u_grid=u_grid, seed=3
-        )
-        np.testing.assert_array_equal(t, np.zeros((1, 10)))
+        table = calibrate(Uniform01(), [ModelIndex(PW, 1)], n=20, B1=200, B2=200, u_grid_size=10, seed=3)
+        np.testing.assert_array_equal(table.thresholds, np.zeros((1, 10)))
 
     def test_budget_floor(self):
-        with pytest.raises(BudgetTooSmallError):
-            estimate_thresholds(
-                Uniform01(), [ModelIndex(PW, 2)], n=20, B1=50,
-                u_grid=np.array([0.05]), seed=0,
-            )
+        with pytest.raises(BudgetTooSmallError, match="threshold budget"):
+            calibrate(Uniform01(), [ModelIndex(PW, 2)], n=20, B1=50, B2=200, seed=0)
 
     def test_u_grid_validation(self):
-        with pytest.raises(InvalidInputError):
-            estimate_thresholds(
-                Uniform01(), [ModelIndex(PW, 2)], n=20, B1=200,
-                u_grid=np.array([0.05, 0.01]), seed=0,
-            )
+        # a reversed grid is refused where a table is built (reversed-u-grid below)
+        with pytest.raises(InvalidInputError, match="u grid size"):
+            calibrate(Uniform01(), [ModelIndex(PW, 2)], n=20, B1=200, B2=200, u_grid_size=0, seed=0)
 
 
 class TestSelectUAlpha:
+    """Stage two of ``calibrate``: the largest u whose sup-test level is <= alpha."""
+
     def test_direct_rule(self):
         # engineered stats/thresholds giving the level curve (0.01, 0.03, 0.05, 0.07)
         b2 = 100
@@ -80,25 +74,23 @@ class TestSelectUAlpha:
         assert u_grid[ok[-1]] == 0.0375
 
     def test_degenerate_model_picks_max_u(self):
-        u_grid = np.linspace(0.005, 0.05, 10)
-        thresholds = np.zeros((1, 10))
-        u_alpha, levels = select_u_alpha(
-            Uniform01(), [ModelIndex(PW, 1)], n=20, B2=200,
-            thresholds=thresholds, u_grid=u_grid, alpha=0.05, seed=4,
-        )
-        assert u_alpha == u_grid[-1]
-        np.testing.assert_array_equal(levels, np.zeros(10))
+        table = calibrate(Uniform01(), [ModelIndex(PW, 1)], n=20, B1=200, B2=200, u_grid_size=10, seed=3)
+        assert table.u_alpha == table.u_grid[-1]
+        np.testing.assert_array_equal(table.level_curve, np.zeros(10))
+
+    def test_budget_floor(self):
+        with pytest.raises(BudgetTooSmallError, match="level budget"):
+            calibrate(Uniform01(), [ModelIndex(PW, 2)], n=20, B1=200, B2=50, seed=0)
 
     def test_failure_carries_level_curve(self):
-        # impossible thresholds: every replicate exceeds them at every u
-        u_grid = np.array([0.01, 0.02])
-        thresholds = np.full((1, 2), -np.inf)
+        # nineteen piecewise models at the single u = alpha: the sup-test rejects 22%
         with pytest.raises(CalibrationFailureError) as err:
-            select_u_alpha(
-                Uniform01(), [ModelIndex(PW, 2)], n=20, B2=200,
-                thresholds=thresholds, u_grid=u_grid, alpha=0.05, seed=4,
+            calibrate(
+                Uniform01(), [ModelIndex(PW, d) for d in range(2, 21)],
+                n=20, B1=100, B2=100, u_grid_size=1, seed=4,
             )
-        assert err.value.level_curve == [1.0, 1.0]
+        assert err.value.u_grid == [0.05]
+        assert err.value.level_curve == [0.22]
 
 
 class TestCalibrate:

@@ -491,6 +491,17 @@ def test_pinned_order():
     ]
 
 
+def test_union_columns_of_overlapping_out_of_order_collections():
+    first = [ModelIndex(FOURIER, 3), ModelIndex(PW, 5), ModelIndex(FOURIER, 1)]
+    second = [ModelIndex(PW, 5), ModelIndex(FOURIER, 3), ModelIndex(PW, 2), ModelIndex(FOURIER, 3)]
+    union, columns = estimators._union_columns([first, second, []])
+    assert union == [ModelIndex(PW, 2), ModelIndex(PW, 5), ModelIndex(FOURIER, 1), ModelIndex(FOURIER, 3)]
+    # each collection's columns follow its own order, repeats included
+    assert columns == [[3, 1, 2], [1, 3, 0, 3], []]
+    for models, cols in zip((first, second), columns):
+        assert [union[j] for j in cols] == models
+
+
 def test_model_index_validation():
     with pytest.raises(InvalidInputError):
         ModelIndex("legendre", 3)

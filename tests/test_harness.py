@@ -1,4 +1,6 @@
+import csv
 import dataclasses
+import io
 import json
 
 import numpy as np
@@ -21,7 +23,6 @@ from adagof.harness import (
     estimate_power,
     _UNIFORMITY_ROWS,
     _scaled_budgets,
-    direct_models,
     mixed_models,
     rejection_counts,
     reproduce_table,
@@ -150,6 +151,21 @@ class TestEstimatePower:
         # power against a real alternative should exceed the level
         assert report.entries[0].power > report.level
 
+    def test_report_csv_parses_to_its_values(self, tiny_table):
+        # alternative ids such as f:0.5,2 hold commas, so they are quoted
+        config = ExperimentConfig(
+            test=TestKind.TTR, null="uniform", n=25,
+            model_params=ModelParams(d_tr=3),
+            alternatives=("f:0.5,2", "g:3,3,0.5", "h:0.4,2"),
+            reps_power=200, reps_level=200, calib=(600, 600), seed=41,
+        )
+        report = estimate_power(config, calibration=tiny_table)
+        rows = list(csv.reader(io.StringIO(report.to_csv())))
+        assert rows[0] == ["alternative", "test", "estimate", "std_error", "reps"]
+        want = [(e.alternative, e.power, e.std_error, e.reps) for e in report.entries]
+        want.append(("(null)", report.level, report.level_std_error, report.reps_level))
+        assert rows[1:] == [[alt, "ttr", f"{p:.6f}", f"{se:.6f}", str(r)] for alt, p, se, r in want]
+
     def test_config_json_roundtrip(self, tmp_path):
         doc = {
             "test": "composite", "null": "exponential", "n": 50, "alpha": 0.05,
@@ -184,6 +200,21 @@ def test_power_report_matches_its_preset_column():
         (c.estimate, c.std_error, c.reps) for c in power
     ]
     assert (report.level, report.level_std_error) == (cells[-1].estimate, cells[-1].std_error)
+
+
+@pytest.mark.parametrize("table_id", ["T1", "T2", "T3", "T4"])
+def test_preset_csv_parses_to_its_cells(table_id, monkeypatch):
+    # names such as f(0.5,2), k(10,20,0.25) and the null gaussian:0,1 hold
+    # commas, so they are quoted and every row has the header's width
+    cells = []
+    table_cells_of = harness.table_cells
+    monkeypatch.setattr(harness, "table_cells", lambda *args: cells.extend(table_cells_of(*args)) or cells)
+    rows = list(csv.reader(io.StringIO(reproduce_table(table_id, seed=3, scale=0.012))))
+    assert rows[0] == ["table", "null", "section", "alternative", "test", "estimate", "std_error", "reps"]
+    assert rows[1:] == [
+        [table_id, c.null, c.section, c.alternative, c.test, f"{c.estimate:.6f}", f"{c.std_error:.6f}", str(c.reps)]
+        for c in cells
+    ]
 
 
 def test_a_preset_block_draws_each_calibration_stage_once(monkeypatch):
@@ -235,7 +266,7 @@ def test_a_table_calibrated_in_a_group_serves_a_one_collection_lookup(monkeypatc
 def test_a_group_lookup_calibrates_only_its_missing_collections(monkeypatch):
     harness._cached_calibrate.cache_clear()
     args = (Uniform01(), 30, 0.1, 200, 200, StatisticKind.SIMPLE, 4, None, 1)
-    first, second = tuple(trigonometric_models(3)), tuple(direct_models(2, 5))
+    first, second = tuple(trigonometric_models(3)), tuple(scale_models(2, 5))
     (kept,) = harness._cached_calibrate(args[0], (first,), *args[1:])
     alone = calibrate(Uniform01(), list(second), 30, 0.1, B1=200, B2=200, seed=4)
     drawn = []
@@ -263,7 +294,7 @@ def test_columns_counted_together_equal_columns_counted_alone():
     tables = [
         calibrate(Uniform01(), trigonometric_models(4), n, 0.1, B1=200, B2=200, u_grid_size=20, seed=2),
         calibrate(Uniform01(), mixed_models(6, 5), n, 0.1, B1=200, B2=200, u_grid_size=20, seed=2),
-        calibrate(null, direct_models(1, 6), n, 0.1, B1=200, B2=200, u_grid_size=20, seed=2),
+        calibrate(null, scale_models(1, 6), n, 0.1, B1=200, B2=200, u_grid_size=20, seed=2),
     ]
     columns = [
         TestColumn("T_tr", TestKind.TTR, table=tables[0]),

@@ -3,6 +3,8 @@ tracer wraps module attributes at their import sites and its workloads call
 private harness helpers.  These checks make a rename fail here rather than in
 the benchmark."""
 
+import ast
+import importlib
 import importlib.util
 import inspect
 import sys
@@ -44,6 +46,26 @@ def test_harness_names_the_workloads_read():
     ]
     # the workloads count process pools by swapping these two names
     assert harness.ProcessPoolExecutor is calibration.ProcessPoolExecutor
+
+
+def test_every_package_attribute_the_workloads_reach_exists():
+    # an attribute missing at run time would fail only inside the benchmark
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text(encoding="utf-8"))
+    modules = {
+        alias.asname or alias.name: importlib.import_module(f"adagof.{alias.name}")
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "adagof"
+        for alias in node.names
+    }
+    used = {
+        (node.value.id, node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules
+    }
+    assert set(modules) == {"adaptive_test", "baselines", "calibration", "estimators", "harness"}
+    assert {("harness", "scale_models"), ("calibration", "calibrate")} <= used
+    missing = [f"{module}.{name}" for module, name in sorted(used) if not hasattr(modules[module], name)]
+    assert missing == []
 
 
 def test_harness_caches_are_the_two_the_workloads_clear():
