@@ -3,6 +3,9 @@
 A test rejects when some model's statistic strictly exceeds its calibrated
 threshold, i.e. when ``max_m (stat_m - t_m(u_alpha))`` is positive.  Ties at
 exactly zero accept, so degenerate models provably never reject.
+
+Each test checks that its table fits (:meth:`CalibrationTable.check`), makes
+one kernel call for the per-model statistics and hands them to ``_sup_test``.
 """
 
 from __future__ import annotations
@@ -12,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .calibration import CalibrationTable, StatisticKind
-from .errors import TableMismatchError
 from .estimators import (
     ModelIndex,
     ScaleSearchPolicy,
@@ -43,12 +45,9 @@ class ModelDiagnostic:
             "threshold": self.threshold,
             "exceedance": self.exceedance,
         }
-        if self.sigma is not None:
-            doc["sigma"] = self.sigma
-        if self.sigma_ratio is not None:
-            doc["sigma_ratio"] = self.sigma_ratio
-        if self.mu is not None:
-            doc["mu"] = self.mu
+        for key in ("sigma", "sigma_ratio", "mu"):
+            if (value := getattr(self, key)) is not None:
+                doc[key] = value
         return doc
 
 
@@ -70,45 +69,32 @@ class TestResult:
         }
 
 
-def _check_table(sample, d: NullDensity, table: CalibrationTable, kind: StatisticKind) -> None:
-    if table.statistic_kind is not kind:
-        raise TableMismatchError(
-            f"table was calibrated for the {table.statistic_kind.value} statistic"
-        )
-    if d != table.null:
-        raise TableMismatchError(
-            f"table was calibrated under {table.null.name}, not {d.name}"
-        )
-    if len(sample) != table.n:
-        raise TableMismatchError(
-            f"thresholds are specific to n={table.n}, got a sample of size {len(sample)}"
-        )
-
-
-def _assemble(table: CalibrationTable, diagnostics: list[ModelDiagnostic]) -> TestResult:
-    statistic = max(p.exceedance for p in diagnostics)
-    witness = next((p.model for p in diagnostics if p.exceedance > 0.0), None)
+def _sup_test(table: CalibrationTable, stats, mu=None, sigma=None, sigma_ratio=None) -> TestResult:
+    """One sample's per-model statistics against the thresholds at u_alpha;
+    ``mu``, ``sigma`` and ``sigma_ratio`` are per-model search results to report.
+    Every argument but the table is a float array in the table's model order."""
+    thresholds = table.thresholds_at_u_alpha
+    exceedances = (stats - thresholds).tolist()
+    columns = [stats.tolist(), thresholds.tolist(), exceedances] + [
+        [None] * len(exceedances) if v is None else v.tolist()
+        for v in (mu, sigma, sigma_ratio)
+    ]
+    per_model = tuple(map(ModelDiagnostic, table.models, *columns))
+    statistic = max(exceedances)
     return TestResult(
-        statistic=float(statistic),
+        statistic=statistic,
         reject=statistic > 0.0,
         u_alpha_used=table.u_alpha,
-        per_model=tuple(diagnostics),
-        argwitness=witness,
+        per_model=per_model,
+        argwitness=next((m for m, e in zip(table.models, exceedances) if e > 0.0), None),
     )
 
 
 def run_simple_test(sample: np.ndarray, d: NullDensity, table: CalibrationTable) -> TestResult:
     """Fixed-density test: reject when some model's statistic clears its threshold."""
-    _check_table(sample, d, table, StatisticKind.SIMPLE)
-    stats = simple_stats_batch(np.asarray(sample, dtype=float)[None, :], table.models, d)[0]
-    thresholds = table.thresholds_at_u_alpha
-    diagnostics = [
-        ModelDiagnostic(m, stat, thr, exceedance)
-        for m, stat, thr, exceedance in zip(
-            table.models, stats.tolist(), thresholds.tolist(), (stats - thresholds).tolist()
-        )
-    ]
-    return _assemble(table, diagnostics)
+    table.check(StatisticKind.SIMPLE, d, len(sample))
+    x = np.asarray(sample, dtype=float)
+    return _sup_test(table, simple_stats_batch(x[None, :], table.models, d)[0])
 
 
 def run_composite_invariant_test(
@@ -121,30 +107,12 @@ def run_composite_invariant_test(
 
     Valid because the searched statistic is exactly invariant under data
     rescaling, so its null law does not depend on the true scale.  The
-    policy must be the one the table was calibrated with.
+    policy, when given, must be the one the table was calibrated with.
     """
-    _check_table(sample, d, table, StatisticKind.COMPOSITE_INVARIANT)
-    if policy is None:
-        policy = table.policy
-    if policy != table.policy:
-        raise TableMismatchError("search policy differs from the calibrated one")
+    table.check(StatisticKind.COMPOSITE_INVARIANT, d, len(sample), policy=policy)
     x = np.asarray(sample, dtype=float)
-    values, ratios = _scale_search(x[None, :], table.models, d, policy)
-    mean = float(np.mean(x))
-    diagnostics = [
-        ModelDiagnostic(
-            m,
-            float(value),
-            float(thr),
-            float(value) - float(thr),
-            sigma=mean * float(ratio),
-            sigma_ratio=float(ratio),
-        )
-        for m, value, ratio, thr in zip(
-            table.models, values[0], ratios[0], table.thresholds_at_u_alpha
-        )
-    ]
-    return _assemble(table, diagnostics)
+    values, ratios = _scale_search(x[None, :], table.models, d, table.policy)
+    return _sup_test(table, values[0], sigma=float(np.mean(x)) * ratios[0], sigma_ratio=ratios[0])
 
 
 def run_composite_compact_test(
@@ -162,18 +130,8 @@ def run_composite_compact_test(
     thresholds, which bounds the level from above for every family member
     whose parameters lie in the rectangle (at the cost of conservatism).
     """
-    _check_table(sample, d, table, StatisticKind.SIMPLE)
-    diagnostics = []
-    for m, thr in zip(table.models, table.thresholds_at_u_alpha):
-        res = t_tilde_affine(sample, m, d, K, grid, refine_rounds, refine_factor)
-        diagnostics.append(
-            ModelDiagnostic(
-                m,
-                res.value,
-                float(thr),
-                res.value - float(thr),
-                mu=res.mu,
-                sigma=res.sigma,
-            )
-        )
-    return _assemble(table, diagnostics)
+    table.check(StatisticKind.SIMPLE, d, len(sample))
+    value, mu, sigma = np.array(
+        [t_tilde_affine(sample, m, d, K, grid, refine_rounds, refine_factor) for m in table.models]
+    ).T
+    return _sup_test(table, value, mu=mu, sigma=sigma)

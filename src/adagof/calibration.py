@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -35,6 +36,7 @@ from .errors import (
     BudgetTooSmallError,
     CalibrationFailureError,
     InvalidInputError,
+    TableMismatchError,
     _json_field,
     _json_value,
     invalid_input,
@@ -83,10 +85,12 @@ def map_replicates(chunk, args: tuple, reps: int, workers: int = 1) -> list:
     """``chunk(*args, start, stop)`` on each of at most ``workers`` contiguous
     ranges splitting ``range(reps)``, results in range order.
 
-    More than one range runs in a process pool.  A chunk's result depends
-    only on its range, so any worker count gives the same parts once joined.
+    More than one range runs in a process pool.  ``workers`` is capped at the
+    CPUs this process may run on.  A chunk's result depends only on its
+    range, so any worker count gives the same parts once joined.
     """
-    workers = max(1, workers)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = max(1, min(workers, cpus or 1))
     bounds = np.linspace(0, reps, workers + 1).astype(int)
     ranges = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
     if len(ranges) <= 1:
@@ -183,6 +187,8 @@ class CalibrationTable:
     policy: ScaleSearchPolicy | None = None
 
     def __post_init__(self) -> None:
+        if self.statistic_kind is StatisticKind.COMPOSITE_INVARIANT and self.policy is None:
+            raise InvalidInputError("a composite table must carry its scale-search policy")
         u = _validate_u_grid(self.u_grid)
         if self.thresholds.shape != (len(self.models), u.size):
             raise InvalidInputError(
@@ -200,6 +206,20 @@ class CalibrationTable:
             raise InvalidInputError(
                 f"level_curve must hold one entry per grid point ({u.size}), got {np.size(self.level_curve)}"
             )
+
+    def check(self, kind, null, n, models=None, alpha=None, policy=None) -> None:
+        """Raise :class:`TableMismatchError` unless this table was calibrated
+        for the statistic ``kind``, the null and the sample size ``n`` and,
+        where given, the models (in pinned order), alpha and search policy:
+        its thresholds give level alpha only in the setting they simulated."""
+        models = None if models is None else tuple(pinned_order(models))
+        wanted = dict(statistic_kind=kind, null=null, n=n, models=models, alpha=alpha, policy=policy)
+        for field, want in wanted.items():
+            have = getattr(self, field)
+            if want is not None and have != want:
+                if field == "models":
+                    have, want = (",".join(m.label for m in ms) for ms in (have, want))
+                raise TableMismatchError(f"table {field} is {have}, not {want}")
 
     def to_json(self) -> dict:
         doc = {

@@ -296,8 +296,10 @@ def _scale_search(
     for m in models:
         if m.family is not BasisFamily.PIECEWISE_CONSTANT:
             raise InvalidInputError("composite scale search expects piecewise models")
+    if d.support[0] != 0.0:
+        raise InvalidInputError(f"composite scale search needs a null on [0, inf), not {d.name}")
     x = _checked_rows(samples)
-    if d.support[0] == 0.0 and np.any(x <= 0.0):
+    if np.any(x <= 0.0):
         raise SupportViolationError("all observations must be positive for this null family")
     y = np.sort(scale_free_ratios(x), axis=1)
     degrees = np.array([m.degree for m in models])

@@ -48,7 +48,6 @@ from .calibration import (
 from .errors import (
     CalibrationMissingError,
     InvalidInputError,
-    TableMismatchError,
     _json_field,
     invalid_input,
 )
@@ -449,7 +448,8 @@ def build_column(
     build_missing: bool = False,
 ) -> TestColumn:
     """Assemble the test column for a config, calibrating baselines on demand
-    and, with ``build_missing``, a missing adaptive table too."""
+    and, with ``build_missing``, a missing adaptive table too.  A supplied
+    table must fit the config (:meth:`CalibrationTable.check`)."""
     name = config.test.value
     if config.test in _BASELINE:
         cfg = _cached_baseline(
@@ -469,8 +469,8 @@ def build_column(
             null_from_spec(null), (tuple(models),),
             config.n, config.alpha, B1, B2, kind, config.seed, policy, workers,
         )
-    if policy is not None and calibration.policy != policy:
-        raise TableMismatchError(f"table policy {calibration.policy} is not {policy}")
+    else:
+        calibration.check(kind, null_from_spec(null), config.n, models, config.alpha, policy)
     return TestColumn(name, config.test, table=calibration)
 
 

@@ -219,8 +219,8 @@ class Gaussian(NullDensity):
     sd: float = 1.0
 
     def __post_init__(self) -> None:
-        if not self.sd > 0.0:
-            raise InvalidInputError(f"sd must be positive, got {self.sd}")
+        if not (math.isfinite(self.mean) and 0.0 < self.sd < math.inf):
+            raise InvalidInputError(f"gaussian needs a finite mean and a finite sd > 0, got {self}")
 
     @property
     def name(self) -> str:
@@ -310,10 +310,10 @@ def null_from_spec(spec: str) -> NullDensity:
             return Gaussian()
         _, _, params = s.partition(":")
         try:
-            mean_s, sd_s = params.split(",")
-            return Gaussian(mean=float(mean_s), sd=float(sd_s))
+            mean, sd = (float(v) for v in params.split(","))
         except ValueError as exc:
             raise InvalidInputError(f"cannot parse gaussian spec {spec!r}") from exc
+        return Gaussian(mean=mean, sd=sd)
     raise InvalidInputError(f"unknown null density spec {spec!r}")
 
 

@@ -1,12 +1,15 @@
 import copy
 import dataclasses
 import json
+import os
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adagof import calibration
 from adagof.bases import BasisFamily
 from adagof.calibration import (
     CalibrationTable,
@@ -14,6 +17,7 @@ from adagof.calibration import (
     calibrate,
     calibrate_collections,
     level_curve_from_stats,
+    simulate_null_stats,
     threshold_matrix,
 )
 from adagof.errors import (
@@ -142,6 +146,33 @@ class TestCalibrate:
         b = calibrate(Uniform01(), models, workers=4, **kwargs)
         assert a.to_json() == b.to_json()
 
+    def test_worker_count_is_capped_at_the_usable_cpus(self, monkeypatch):
+        opened = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                opened.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        models = [ModelIndex(FOURIER, d) for d in (1, 2)]
+        args = (Uniform01(), models, 20, 300, StatisticKind.SIMPLE, 14, "cap")
+        serial = simulate_null_stats(*args)
+        monkeypatch.setattr(calibration, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        np.testing.assert_array_equal(simulate_null_stats(*args, workers=16), serial)
+        assert opened and max(opened) <= 2
+
     def test_adding_model_keeps_level_controlled(self):
         # recalibration re-controls the level when the collection grows
         small = [ModelIndex(FOURIER, d) for d in (1, 2, 3)]
@@ -207,11 +238,13 @@ def _increasing_rows(doc):
             "not the u_alpha column",
         ),
         (_increasing_rows, "must not increase in u"),
+        (lambda doc: doc.update(statistic_kind="composite_invariant"), "scale-search policy"),
     ],
     ids=[
         "truncated-thresholds", "thresholds-short-one-column", "missing-u-alpha",
         "missing-models", "null-without-mean", "one-budget", "reversed-u-grid",
         "u-alpha-off-grid", "stale-u-alpha-column", "increasing-threshold-row",
+        "composite-without-policy",
     ],
 )
 def test_table_schema_defects_are_input_errors(table_doc, defect, match):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from adagof import estimators
 from adagof.adaptive_test import run_simple_test
 from adagof.bases import BasisFamily, fourier_eval
-from adagof.calibration import calibrate
+from adagof.calibration import StatisticKind, calibrate
 from adagof.errors import (
     AdagofError,
     InsufficientSampleError,
@@ -222,6 +222,21 @@ class TestScaleSearch:
     def test_support_violation(self):
         with pytest.raises(SupportViolationError):
             t_tilde_scale(np.array([-0.5, 1.0, 2.0]), ModelIndex(PW, 3), Exponential())
+
+    def test_null_not_on_the_positive_half_line_is_refused(self):
+        # x / mean(x) is a scale-family statistic; under a Gaussian null
+        # mean(x) sits near 0, so no null off [0, inf) is searched
+        models = [ModelIndex(PW, D) for D in (2, 3, 4)]
+        x = np.abs(Gaussian(0.0, 1.0).sample(50, derive_stream(15, "off-zero", 0)))[None, :]
+        with pytest.raises(InvalidInputError, match=r"needs a null on \[0, inf\)"):
+            composite_scale_stats_batch(x, models, Gaussian(0.0, 1.0), ScaleSearchPolicy())
+        with pytest.raises(InvalidInputError, match=r"needs a null on \[0, inf\)"):
+            calibrate(
+                Gaussian(0.0, 1.0), models, n=50, B1=100, B2=100,
+                statistic_kind=StatisticKind.COMPOSITE_INVARIANT,
+            )
+        for d in (Uniform01(), Exponential()):
+            assert composite_scale_stats_batch(x / 10.0, models, d, ScaleSearchPolicy()).shape == (1, 3)
 
     def test_batch_matches_single_path(self, exp_sample):
         d = Exponential()

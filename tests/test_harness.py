@@ -122,6 +122,29 @@ class TestEstimatePower:
         with pytest.raises(TableMismatchError):
             build_column(other, calibration=table)
 
+    @pytest.mark.parametrize(
+        "field, change",
+        [
+            ("statistic_kind", {"test": TestKind.TD}),
+            ("null", {"null": "uniform"}),
+            ("n", {"n": 21}),
+            ("models", {"model_params": ModelParams(d_range=(2, 5))}),
+            ("alpha", {"alpha": 0.05}),
+            ("policy", {"model_params": ModelParams(
+                d_range=(2, 4), policy=ScaleSearchPolicy(coarse_points=33)
+            )}),
+        ],
+    )
+    def test_supplied_table_that_does_not_fit_the_config_is_refused(self, field, change):
+        config = ExperimentConfig(
+            test=TestKind.COMPOSITE, null="exponential", n=20, alpha=0.1,
+            model_params=ModelParams(d_range=(2, 4)), calib=(100, 100), seed=3,
+        )
+        table = build_column(config, build_missing=True).table
+        assert build_column(config, calibration=table).table is table
+        with pytest.raises(TableMismatchError, match=f"^table {field} is .+, not .+"):
+            build_column(dataclasses.replace(config, **change), calibration=table)
+
     def test_power_at_null_equals_level(self, tiny_table):
         config = ExperimentConfig(
             test=TestKind.TTR, null="uniform", n=25,
@@ -423,6 +446,12 @@ _MALFORMED_CLI = {
         "calibrate", "--null", "uniform", "--models", "fourier:x-3", "--n", "20", "--out", "{out}",
     ],
     "missing-calib-file": ["test", "--calib", "{missing}", "--data", "{data}"],
+    "mismatched-power-table": ["power", "--config", "{other_models_config}", "--calib", "{table}"],
+    "composite-table-without-policy": ["test", "--calib", "{policyless_table}", "--data", "{data}"],
+    "composite-statistic-off-zero-support": [
+        "calibrate", "--null", "gaussian:0,1", "--models", "piecewise:2-4", "--n", "50",
+        "--b1", "100", "--b2", "100", "--statistic", "composite", "--out", "{out}",
+    ],
     "missing-config-file": ["power", "--config", "{missing}"],
     "unknown-test-in-config": ["power", "--config", "{bogus_config}"],
     "non-integer-n-in-config": ["power", "--config", "{bad_n_config}"],
@@ -441,6 +470,14 @@ def test_malformed_input_exits_2(case, tmp_path, capsys, tiny_table):
     files = {
         "table": table_doc,
         "truncated_table": dict(table_doc, thresholds=table_doc["thresholds"][:-1]),
+        "policyless_table": dict(
+            table_doc, statistic_kind="composite_invariant",
+            models=[{"family": "piecewise", "degree": d} for d in (2, 3, 4)],
+        ),
+        "other_models_config": {
+            "test": "ttr", "null": "uniform", "n": 25, "model_params": {"d_tr": 2},
+            "reps_power": 100, "reps_level": 100, "calib": [600, 600], "seed": 41,
+        },
         "bogus_config": {"test": "bogus", "null": "uniform", "n": 25},
         "bad_n_config": {"test": "ks", "null": "uniform", "n": "twenty-five"},
         "bad_alt_config": {

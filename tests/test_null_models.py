@@ -11,6 +11,7 @@ from adagof.null_models import (
     Gaussian,
     Uniform01,
     ndtri,
+    null_from_json,
     null_from_spec,
     transform_to_uniform,
 )
@@ -211,3 +212,14 @@ def test_null_from_spec_parsing():
     assert null_from_spec("gaussian:0,0.1") == Gaussian(0.0, 0.1)
     with pytest.raises(InvalidInputError):
         null_from_spec("cauchy")
+
+
+@pytest.mark.parametrize(
+    "spec", ["gaussian:nan,1", "gaussian:inf,1", "gaussian:0,inf", "gaussian:0,nan", "gaussian:0,0"]
+)
+def test_gaussian_needs_a_finite_mean_and_a_finite_positive_sd(spec):
+    with pytest.raises(InvalidInputError, match="finite mean"):
+        null_from_spec(spec)
+    mean, sd = (float(v) for v in spec.split(":")[1].split(","))
+    with pytest.raises(InvalidInputError, match="finite mean"):
+        null_from_json({"family": "gaussian", "mean": mean, "sd": sd})
