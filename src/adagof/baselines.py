@@ -17,7 +17,7 @@ from enum import Enum
 import numpy as np
 
 from .bases import legendre_polys, multiple_angles
-from .calibration import draw_samples, threshold_matrix
+from .calibration import sample_blocks, threshold_matrix
 from .errors import BudgetTooSmallError, InvalidInputError, SupportViolationError
 from .estimators import _checked_rows, _row, _row_blocks, scale_free_ratios
 from .null_models import Exponential, NullDensity, Uniform01
@@ -207,7 +207,8 @@ def calibrate_baseline(
     """Monte Carlo critical value: the (1-alpha) rank quantile under the null.
 
     The null generator is the unit exponential for the exponentiality test
-    and uniform on [0, 1] otherwise.
+    and uniform on [0, 1] otherwise.  Statistics are computed one lane block
+    of ``sample_blocks`` at a time, serially.
     """
     if B < 1000:
         raise BudgetTooSmallError(f"baseline calibration budget must be >= 1000, got {B}")
@@ -216,8 +217,8 @@ def calibrate_baseline(
     if kind in (BaselineKind.BICKEL_RITOV, BaselineKind.KALLENBERG_LEDWINA) and d_of_n is None:
         d_of_n = default_dimension(n)
     null = Exponential() if kind is BaselineKind.KS_EXPONENTIAL else Uniform01()
-    samples = draw_samples(null.sample, n, seed, f"baseline:{kind.value}", 0, B)
-    stats = baseline_statistics(kind, samples, d_of_n)
+    blocks = sample_blocks(null.sample, n, seed, f"baseline:{kind.value}", 0, B)
+    stats = np.concatenate([baseline_statistics(kind, samples, d_of_n) for samples in blocks])
     crit = float(threshold_matrix(stats[:, None], np.array([alpha]))[0, 0])
     return BaselineConfig(
         kind=kind, alpha=alpha, critical_value=crit, n=n, d_of_n=d_of_n, budget=B, seed=seed

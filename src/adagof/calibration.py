@@ -18,6 +18,11 @@ that run the stages on their own: :func:`simulate_null_stats`,
 
 Quantiles are the order statistic of rank ``ceil((1 - u) B)`` (1-indexed,
 ascending) -- no interpolation, which never understates a threshold.
+
+Samples are drawn, transformed and scored one lane block (at most
+``streams._BLOCK`` replicates) at a time through :func:`sample_blocks`, so
+the memory a simulation holds beyond its ``(B, models)`` statistic matrix
+does not grow with the budget ``B``.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -44,6 +50,7 @@ from .errors import (
 from .estimators import (
     ModelIndex,
     ScaleSearchPolicy,
+    _check_scale_search,
     _union_columns,
     composite_scale_stats_batch,
     pinned_order,
@@ -64,21 +71,31 @@ class StatisticKind(Enum):
     COMPOSITE_INVARIANT = "composite_invariant"
 
 
-def draw_samples(sample, n: int, seed: int, label: str, start: int, stop: int) -> np.ndarray:
-    """Replicates ``start .. stop - 1`` of one labelled batch, one per row.
+def sample_blocks(sample, n: int, seed: int, label: str, start: int, stop: int) -> Iterator[np.ndarray]:
+    """Replicates ``start .. stop - 1`` of one labelled batch, one lane block
+    of ``lane_blocks`` at a time, as that block's ``(rows, n)`` samples.
 
-    Row ``i`` is ``sample(n, stream)`` on the stream ``derive_stream(seed,
-    label, start + i)``, bit for bit.  ``sample`` is called once per lane
-    block of ``lane_blocks`` and returns that block's rows.  This is the
-    package's only draw loop: null thresholds, baseline critical values and
-    power replicates all come through it.
+    Row ``i`` of the rows yielded so far is ``sample(n, stream)`` on the
+    stream ``derive_stream(seed, label, start + i)``, bit for bit.
+    ``sample`` is called once per block.  This is the package's only draw
+    loop: null thresholds, baseline critical values and power replicates all
+    come through it, each scoring a block before it asks for the next.  The
+    lane block, with its buffer of drawn uniforms, is released before its
+    rows are yielded, so it is not held while they are scored.
     """
-    samples = np.empty((max(stop - start, 0), n))
-    row = 0
     for block in lane_blocks(seed, label, start, stop):
-        samples[row : row + block.rows] = sample(n, block)
-        row += block.rows
-    return samples
+        rows = sample(n, block)
+        del block
+        yield rows
+
+
+def draw_samples(sample, n: int, seed: int, label: str, start: int, stop: int) -> np.ndarray:
+    """Replicates ``start .. stop - 1`` of one labelled batch, one per row:
+    the blocks of :func:`sample_blocks` stacked.  No library path holds a
+    whole range at once; the tests compare the per-block paths against this,
+    and ``adagof selfcheck`` compares it with one sampler call per replicate.
+    """
+    return np.concatenate([np.empty((0, n)), *sample_blocks(sample, n, seed, label, start, stop)])
 
 
 def map_replicates(chunk, args: tuple, reps: int, workers: int = 1) -> list:
@@ -101,10 +118,13 @@ def map_replicates(chunk, args: tuple, reps: int, workers: int = 1) -> list:
 
 
 def _null_stats_chunk(d, models, n, kind, policy, seed, label, start, stop) -> np.ndarray:
-    samples = draw_samples(d.sample, n, seed, label, start, stop)
-    if kind is StatisticKind.SIMPLE:
-        return simple_stats_batch(samples, models, d)
-    return composite_scale_stats_batch(samples, models, d, policy)
+    stats = [np.empty((0, len(models)))]
+    for samples in sample_blocks(d.sample, n, seed, label, start, stop):
+        if kind is StatisticKind.SIMPLE:
+            stats.append(simple_stats_batch(samples, models, d))
+        else:
+            stats.append(composite_scale_stats_batch(samples, models, d, policy))
+    return np.concatenate(stats)
 
 
 def simulate_null_stats(
@@ -151,11 +171,29 @@ def _validate_u_grid(u_grid: np.ndarray) -> np.ndarray:
 def level_curve_from_stats(stats: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
     """Fraction of replicates where some model exceeds its threshold, per u.
 
-    One statistic vector per replicate is shared across the whole u grid;
-    only the thresholds move.
+    ``stats`` holds one row of model statistics per replicate and
+    ``thresholds`` one row per model over the u grid, which must not increase
+    in u.  So a replicate exceeds from its first exceeding grid point on: per
+    model that is a ``searchsorted`` on the model's threshold row, and the
+    replicate's is the least over models.  The curve is the running count of
+    replicates whose first exceedance has been reached, over the replicates,
+    equal bit for bit to ``(stats[:, :, None] > thresholds).any(1).mean(0)``
+    without that ``(replicates, models, u)`` cube.
     """
-    exceed = stats[:, :, None] > thresholds[None, :, :]
-    return exceed.any(axis=1).mean(axis=0)
+    stats, thresholds = np.asarray(stats), np.asarray(thresholds)
+    if stats.ndim != 2 or thresholds.ndim != 2 or thresholds.shape[0] != stats.shape[1]:
+        raise InvalidInputError(
+            f"thresholds of shape {thresholds.shape} do not give one row per model"
+            f" of statistics of shape {stats.shape}"
+        )
+    if np.any(np.isnan(thresholds)) or np.any(np.diff(thresholds, axis=1) > 0.0):
+        raise InvalidInputError("threshold rows must be numbers that do not increase in u")
+    grid = thresholds.shape[1]
+    first = np.full(stats.shape[0], grid)
+    for column, row in zip(stats.T, thresholds):
+        # -row ascends, and stat > t exactly where -stat < -t
+        np.minimum(first, np.searchsorted(-row, -column, side="right"), out=first)
+    return np.cumsum(np.bincount(first, minlength=grid + 1)[:grid]) / stats.shape[0]
 
 
 def _json_floats(doc: dict, key: str) -> np.ndarray:
@@ -187,8 +225,10 @@ class CalibrationTable:
     policy: ScaleSearchPolicy | None = None
 
     def __post_init__(self) -> None:
-        if self.statistic_kind is StatisticKind.COMPOSITE_INVARIANT and self.policy is None:
-            raise InvalidInputError("a composite table must carry its scale-search policy")
+        if self.statistic_kind is StatisticKind.COMPOSITE_INVARIANT:
+            if self.policy is None:
+                raise InvalidInputError("a composite table must carry its scale-search policy")
+            _check_scale_search(self.models, self.null)
         u = _validate_u_grid(self.u_grid)
         if self.thresholds.shape != (len(self.models), u.size):
             raise InvalidInputError(

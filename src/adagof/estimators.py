@@ -284,6 +284,16 @@ def simple_stats_batch(samples: np.ndarray, models, d: NullDensity) -> np.ndarra
     return _theta_batch(x, models, upper) + _plug_in(x, d)[:, None]
 
 
+def _check_scale_search(models, d: NullDensity) -> None:
+    """Raise :class:`InvalidInputError` unless the composite scale search can
+    run on ``models`` under ``d``: piecewise models and a null on [0, inf)."""
+    for m in models:
+        if m.family is not BasisFamily.PIECEWISE_CONSTANT:
+            raise InvalidInputError("composite scale search expects piecewise models")
+    if d.support[0] != 0.0:
+        raise InvalidInputError(f"composite scale search needs a null on [0, inf), not {d.name}")
+
+
 def _scale_search(
     samples: np.ndarray, models, d: NullDensity, policy: ScaleSearchPolicy
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -293,11 +303,7 @@ def _scale_search(
     Ties keep the candidate evaluated first: the smallest coarse ratio, and a
     refinement candidate only when it is strictly lower.
     """
-    for m in models:
-        if m.family is not BasisFamily.PIECEWISE_CONSTANT:
-            raise InvalidInputError("composite scale search expects piecewise models")
-    if d.support[0] != 0.0:
-        raise InvalidInputError(f"composite scale search needs a null on [0, inf), not {d.name}")
+    _check_scale_search(models, d)
     x = _checked_rows(samples)
     if np.any(x <= 0.0):
         raise SupportViolationError("all observations must be positive for this null family")

@@ -9,11 +9,12 @@ Each statistic matrix is computed once per draw.  A preset block's adaptive
 tables that share a null, statistic and search policy are calibrated
 together (:func:`~adagof.calibration.calibrate_collections`).
 ``_cached_calibrate`` keeps one table per collection, so a one-collection
-lookup finds a table that was calibrated as part of a group.  Each power or
-level batch takes the null-cdf transform once and one ``simple_stats_batch``
-per (table null, input) over the union of those tables' models; every column
-reads its own slice, which equals its own statistic bit for bit because a
-column depends only on its model.
+lookup finds a table that was calibrated as part of a group.  A power or
+level batch is drawn and scored one lane block at a time: each block takes
+the null-cdf transform once and one ``simple_stats_batch`` per (table null,
+input) over the union of those tables' models; every column reads its own
+slice, which equals its own statistic bit for bit because a column depends
+only on its model.
 """
 
 from __future__ import annotations
@@ -42,8 +43,8 @@ from .calibration import (
     CalibrationTable,
     StatisticKind,
     calibrate_collections,
-    draw_samples,
     map_replicates,
+    sample_blocks,
 )
 from .errors import (
     CalibrationMissingError,
@@ -278,19 +279,28 @@ _ON_TRANSFORM = frozenset({TestKind.TTR, TestKind.TTR_CT, TestKind.KS, TestKind.
 
 
 def _decision_chunk(null, alt_id, n, columns, seed, label, start, stop) -> np.ndarray:
-    """Rejection counts of each test column on replicates ``start .. stop - 1``.
-
-    The batch is drawn and transformed once.  The simple-statistic columns
-    read their columns of one ``simple_stats_batch`` per (table null, input)
-    over the union of those tables' models; these run after the other
-    kernels, so no union matrix is held while another kernel runs.
-    """
+    """Rejection counts of each test column on replicates ``start .. stop - 1``,
+    summed over the lane blocks of ``sample_blocks``, each scored by every
+    column before the next is drawn."""
     if alt_id is None:
         sample = null.sample
     else:
         sampler = from_id(alt_id).sampler
         sample = lambda size, stream: sampler(stream, size)  # noqa: E731
-    samples = draw_samples(sample, n, seed, label, start, stop)
+    counts = np.zeros(len(columns), dtype=np.int64)
+    for samples in sample_blocks(sample, n, seed, label, start, stop):
+        counts += _block_counts(null, samples, columns)
+    return counts
+
+
+def _block_counts(null, samples, columns) -> np.ndarray:
+    """Rejection counts of each test column on the rows of ``samples``.
+
+    The block is transformed once.  The simple-statistic columns read their
+    columns of one ``simple_stats_batch`` per (table null, input) over the
+    union of those tables' models; these run after the other kernels, so no
+    union matrix is held while another kernel runs.
+    """
     inputs = {False: samples}
     if any(col.kind in _ON_TRANSFORM for col in columns):
         inputs[True] = transform_to_uniform(null, samples)

@@ -77,6 +77,37 @@ class TestSelectUAlpha:
         ok = np.nonzero(levels <= 0.05)[0]
         assert u_grid[ok[-1]] == 0.0375
 
+    @pytest.mark.parametrize(
+        "reps, models, grid",
+        [(400, 6, 25), (1, 6, 25), (400, 1, 25), (400, 6, 1), (1, 1, 1)],
+        ids=["ties", "one-replicate", "one-model", "one-grid-point", "one-of-each"],
+    )
+    def test_level_curve_equals_the_exceedance_cube(self, reps, models, grid):
+        # statistics and thresholds on one coarse lattice, so many statistics
+        # equal a threshold exactly
+        rng = np.random.default_rng([reps, models, grid])
+        stats = rng.integers(0, 12, size=(reps, models)) / 4.0
+        thresholds = -np.sort(-rng.integers(0, 12, size=(models, grid)) / 4.0, axis=1)
+        if reps * models * grid > 100:
+            assert np.any(stats[:, :, None] == thresholds[None])
+        cube = (stats[:, :, None] > thresholds[None]).any(axis=1).mean(axis=0)
+        levels = level_curve_from_stats(stats, thresholds)
+        assert levels.dtype == cube.dtype and levels.tobytes() == cube.tobytes()
+
+    @pytest.mark.parametrize(
+        "thresholds, match",
+        [
+            (np.zeros((3, 4)), "one row per model"),
+            (np.zeros(4), "one row per model"),
+            (np.array([[3.0, 2.0, 1.0], [1.0, 2.0, 0.5]]), "not increase in u"),
+            (np.array([[3.0, np.nan, 1.0], [1.0, 1.0, 0.5]]), "not increase in u"),
+        ],
+        ids=["three-rows-for-two-models", "one-dimensional", "increasing-row", "nan"],
+    )
+    def test_level_curve_refuses_malformed_thresholds(self, thresholds, match):
+        with pytest.raises(InvalidInputError, match=match):
+            level_curve_from_stats(np.ones((10, 2)), thresholds)
+
     def test_degenerate_model_picks_max_u(self):
         table = calibrate(Uniform01(), [ModelIndex(PW, 1)], n=20, B1=200, B2=200, u_grid_size=10, seed=3)
         assert table.u_alpha == table.u_grid[-1]
@@ -215,6 +246,9 @@ def table_doc():
     return table.to_json()
 
 
+_POLICY_DOC = ScaleSearchPolicy().to_json()
+
+
 def _increasing_rows(doc):
     rows = np.reshape(doc["thresholds"], (len(doc["models"]), -1))
     doc["thresholds"] = rows[:, ::-1].ravel().tolist()
@@ -239,12 +273,24 @@ def _increasing_rows(doc):
         ),
         (_increasing_rows, "must not increase in u"),
         (lambda doc: doc.update(statistic_kind="composite_invariant"), "scale-search policy"),
+        (
+            lambda doc: doc.update(statistic_kind="composite_invariant", policy=_POLICY_DOC),
+            "expects piecewise models",
+        ),
+        (
+            lambda doc: doc.update(
+                statistic_kind="composite_invariant", policy=_POLICY_DOC,
+                models=[{"family": "piecewise", "degree": d} for d in (2, 3)],
+                null={"family": "gaussian", "mean": 0.0, "sd": 1.0},
+            ),
+            r"needs a null on \[0, inf\)",
+        ),
     ],
     ids=[
         "truncated-thresholds", "thresholds-short-one-column", "missing-u-alpha",
         "missing-models", "null-without-mean", "one-budget", "reversed-u-grid",
         "u-alpha-off-grid", "stale-u-alpha-column", "increasing-threshold-row",
-        "composite-without-policy",
+        "composite-without-policy", "composite-with-fourier-models", "composite-off-zero-support",
     ],
 )
 def test_table_schema_defects_are_input_errors(table_doc, defect, match):

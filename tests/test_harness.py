@@ -448,6 +448,8 @@ _MALFORMED_CLI = {
     "missing-calib-file": ["test", "--calib", "{missing}", "--data", "{data}"],
     "mismatched-power-table": ["power", "--config", "{other_models_config}", "--calib", "{table}"],
     "composite-table-without-policy": ["test", "--calib", "{policyless_table}", "--data", "{data}"],
+    "composite-table-with-fourier-models": ["test", "--calib", "{fourier_composite_table}", "--data", "{data}"],
+    "composite-table-off-zero-support": ["test", "--calib", "{gaussian_composite_table}", "--data", "{data}"],
     "composite-statistic-off-zero-support": [
         "calibrate", "--null", "gaussian:0,1", "--models", "piecewise:2-4", "--n", "50",
         "--b1", "100", "--b2", "100", "--statistic", "composite", "--out", "{out}",
@@ -473,6 +475,12 @@ def test_malformed_input_exits_2(case, tmp_path, capsys, tiny_table):
         "policyless_table": dict(
             table_doc, statistic_kind="composite_invariant",
             models=[{"family": "piecewise", "degree": d} for d in (2, 3, 4)],
+        ),
+        "fourier_composite_table": dict(table_doc, statistic_kind="composite_invariant", policy=_POLICY),
+        "gaussian_composite_table": dict(
+            table_doc, statistic_kind="composite_invariant", policy=_POLICY,
+            models=[{"family": "piecewise", "degree": d} for d in (2, 3, 4)],
+            null={"family": "gaussian", "mean": 0.0, "sd": 1.0},
         ),
         "other_models_config": {
             "test": "ttr", "null": "uniform", "n": 25, "model_params": {"d_tr": 2},
