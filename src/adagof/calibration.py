@@ -225,6 +225,7 @@ class CalibrationTable:
     policy: ScaleSearchPolicy | None = None
 
     def __post_init__(self) -> None:
+        pinned_order(self.models)
         if self.statistic_kind is StatisticKind.COMPOSITE_INVARIANT:
             if self.policy is None:
                 raise InvalidInputError("a composite table must carry its scale-search policy")
@@ -372,13 +373,13 @@ def calibrate_collections(
     if statistic_kind is StatisticKind.COMPOSITE_INVARIANT and policy is None:
         policy = ScaleSearchPolicy()
     u_grid = alpha * np.arange(1, u_grid_size + 1) / u_grid_size
-    first, second = (
-        simulate_null_stats(d, union, n, B, statistic_kind, seed, label, policy, workers)
-        for B, label in ((B1, "calib:thresholds"), (B2, "calib:level"))
-    )
+    first = simulate_null_stats(d, union, n, B1, statistic_kind, seed, "calib:thresholds", policy, workers)
+    # thresholds first, so the two stages' statistic matrices are never both held
+    threshold_rows = [threshold_matrix(first[:, cols], u_grid) for cols in columns]
+    del first
+    second = simulate_null_stats(d, union, n, B2, statistic_kind, seed, "calib:level", policy, workers)
     tables = []
-    for cols in columns:
-        thresholds = threshold_matrix(first[:, cols], u_grid)
+    for cols, thresholds in zip(columns, threshold_rows):
         # rank is nonincreasing in u, so each row must be nonincreasing
         assert np.all(np.diff(thresholds, axis=1) <= 0.0)
         levels = level_curve_from_stats(second[:, cols], thresholds)

@@ -35,9 +35,9 @@ def parse_models(spec: str) -> list[ModelIndex]:
         with invalid_input(f"degree range {rng!r} in {spec!r}"):
             lo = int(lo_s)
             hi = int(hi_s) if hi_s else lo
+        if hi < lo:
+            raise InvalidInputError(f"degree range {rng!r} in {spec!r} is reversed")
         models.extend(ModelIndex(family, d) for d in range(lo, hi + 1))
-    if not models:
-        raise InvalidInputError(f"empty model collection spec {spec!r}")
     return models
 
 
@@ -132,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("calibrate", help="calibrate thresholds and write a table JSON")
-    p.add_argument("--null", required=True, help="uniform | exponential | gaussian:MEAN,SD")
+    p.add_argument("--null", required=True, help="uniform | exponential | gaussian[:MEAN,SD]")
     p.add_argument("--models", required=True, help="e.g. piecewise:2-10,fourier:1-6")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--alpha", type=float, default=0.05)

@@ -85,10 +85,15 @@ def pinned_order(models) -> list[ModelIndex]:
     """Canonical model ordering: piecewise ascending degree, then fourier.
 
     All max-reductions and reported witnesses use this ordering, so outputs
-    are stable regardless of how a collection was assembled.
+    are stable regardless of how a collection was assembled.  A collection
+    must be nonempty and list each model once.
     """
     key = {BasisFamily.PIECEWISE_CONSTANT: 0, BasisFamily.FOURIER: 1}
-    return sorted(models, key=lambda m: (key[m.family], m.degree))
+    ordered = sorted(models, key=lambda m: (key[m.family], m.degree))
+    if not ordered or len(set(ordered)) < len(ordered):
+        labels = ",".join(m.label for m in ordered)
+        raise InvalidInputError(f"a model collection must be nonempty and list each model once: [{labels}]")
+    return ordered
 
 
 def _union_columns(collections) -> tuple[list[ModelIndex], list[list[int]]]:
@@ -124,8 +129,8 @@ class ScaleSearchPolicy:
     refine_factor: int = 8
 
     def __post_init__(self) -> None:
-        if not self.relative_span > 1.0:
-            raise InvalidInputError("relative_span must exceed 1")
+        if not 1.0 < self.relative_span < math.inf:
+            raise InvalidInputError(f"relative_span must exceed 1 and be finite, got {self.relative_span!r}")
         if self.coarse_points < 3:
             raise InvalidInputError("coarse_points must be >= 3")
         if self.refine_rounds < 0 or self.refine_factor < 1:

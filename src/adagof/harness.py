@@ -50,6 +50,7 @@ from .errors import (
     CalibrationMissingError,
     InvalidInputError,
     _json_field,
+    _json_value,
     invalid_input,
 )
 from .estimators import (
@@ -149,6 +150,13 @@ class ModelParams:
     d_of_n: int | None = None
     policy: ScaleSearchPolicy | None = None
 
+    def __post_init__(self) -> None:
+        for key in ("d_tr", "d_ct", "d_of_n"):
+            if (value := getattr(self, key)) is not None and value < 1:
+                raise InvalidInputError(f"model_params.{key} must be >= 1, got {value!r}")
+        if (lo_hi := self.d_range) is not None and not (len(lo_hi) == 2 and 1 <= lo_hi[0] <= lo_hi[1]):
+            raise InvalidInputError(f"model_params.d_range must be [lo, hi], 1 <= lo <= hi, got {list(lo_hi)}")
+
     @classmethod
     def from_json(cls, doc: dict) -> "ModelParams":
         if not isinstance(doc, dict):
@@ -158,6 +166,8 @@ class ModelParams:
             key: _json_field(doc, key, kind, None, f"model_params.{key}")
             for key, kind in (("d_tr", int), ("d_ct", int), ("d_of_n", int), ("d_range", list))
         }
+        if (d_range := fields["d_range"]) is not None:
+            fields["d_range"] = tuple(_json_value(v, int, "model_params.d_range") for v in d_range)
         return cls(
             **fields,
             policy=ScaleSearchPolicy.from_json(policy) if policy else None,

@@ -1,12 +1,13 @@
 """Fixed null densities with exact samplers and the analytic quantities the
 statistics need: pdf, cdf, inverse cdf, and the squared L2 norm.
 
-Three families are provided: uniform on [0, 1], Gaussian, and the unit
-exponential.  All sampling is by inverse transform so that one uniform draw
-maps to exactly one output value, keeping replicate streams aligned across
-test variants.  The transform is elementwise, so ``sample`` takes a
-generator or a lane block of replicate streams (:mod:`adagof.streams`) alike:
-a block's ``(rows, n)`` uniforms map in one pass.
+The families are uniform on [0, 1], Gaussian and the unit exponential.  Each
+is a class, named by ``family``, with its parameters as dataclass fields; the
+spec parser, the JSON reader and writer and ``name`` all read these.  Sampling
+is by inverse transform, one uniform draw to one value, keeping replicate
+streams aligned across test variants.  It is elementwise, so ``sample`` takes
+a generator or a lane block of replicate streams (:mod:`adagof.streams`)
+alike: a block's ``(rows, n)`` uniforms map in one pass.
 
 The Gaussian quantile is :func:`ndtri`, Moshier's Cephes rational
 approximation ported to numpy with the same coefficients and operations, so
@@ -17,12 +18,13 @@ it equals ``scipy.special.ndtri`` bit for bit.  The Gaussian cdf is
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, _json_field
+from .errors import InvalidInputError, _json_field, parse_fields
 
 _TINY = np.nextafter(0.0, 1.0)
 
@@ -139,19 +141,15 @@ def _unit_uniforms(stream, n) -> np.ndarray:
 
 @dataclass(frozen=True)
 class NullDensity:
-    """Base interface; use the concrete subclasses below."""
+    """Base interface; use the concrete subclasses below.  A subclass sets the
+    class attributes ``family``, ``support`` and ``l2_norm_sq`` (a property
+    where it depends on the parameters, which are its fields in spec order)."""
 
     @property
     def name(self) -> str:
-        raise NotImplementedError
-
-    @property
-    def support(self) -> tuple[float, float]:
-        raise NotImplementedError
-
-    @property
-    def l2_norm_sq(self) -> float:
-        raise NotImplementedError
+        """The family, then any parameters by ``g``: ``gaussian(0,1)``."""
+        params = ",".join(format(v, "g") for v in dataclasses.astuple(self))
+        return f"{self.family}({params})" if params else self.family
 
     def pdf(self, x):
         raise NotImplementedError
@@ -176,22 +174,14 @@ class NullDensity:
         return self._quantile(_unit_uniforms(stream, n))
 
     def to_json(self) -> dict:
-        raise NotImplementedError
+        return {"family": self.family, **dataclasses.asdict(self)}
 
 
 @dataclass(frozen=True)
 class Uniform01(NullDensity):
-    @property
-    def name(self) -> str:
-        return "uniform"
-
-    @property
-    def support(self) -> tuple[float, float]:
-        return (0.0, 1.0)
-
-    @property
-    def l2_norm_sq(self) -> float:
-        return 1.0
+    family = "uniform"
+    support = (0.0, 1.0)
+    l2_norm_sq = 1.0
 
     def pdf(self, x):
         xa = np.asarray(x, dtype=float)
@@ -209,26 +199,17 @@ class Uniform01(NullDensity):
         check_sample_size(n)
         return stream.random(n)
 
-    def to_json(self) -> dict:
-        return {"family": "uniform"}
-
 
 @dataclass(frozen=True)
 class Gaussian(NullDensity):
+    family = "gaussian"
+    support = (-math.inf, math.inf)
     mean: float = 0.0
     sd: float = 1.0
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.mean) and 0.0 < self.sd < math.inf):
             raise InvalidInputError(f"gaussian needs a finite mean and a finite sd > 0, got {self}")
-
-    @property
-    def name(self) -> str:
-        return f"gaussian({self.mean:g},{self.sd:g})"
-
-    @property
-    def support(self) -> tuple[float, float]:
-        return (-math.inf, math.inf)
 
     @property
     def l2_norm_sq(self) -> float:
@@ -249,25 +230,14 @@ class Gaussian(NullDensity):
     def _quantile(self, u: np.ndarray) -> np.ndarray:
         return self.mean + self.sd * ndtri(u)
 
-    def to_json(self) -> dict:
-        return {"family": "gaussian", "mean": self.mean, "sd": self.sd}
-
 
 @dataclass(frozen=True)
 class Exponential(NullDensity):
     """Unit exponential, density ``exp(-x)`` on [0, infinity)."""
 
-    @property
-    def name(self) -> str:
-        return "exponential"
-
-    @property
-    def support(self) -> tuple[float, float]:
-        return (0.0, math.inf)
-
-    @property
-    def l2_norm_sq(self) -> float:
-        return 0.5
+    family = "exponential"
+    support = (0.0, math.inf)
+    l2_norm_sq = 0.5
 
     def pdf(self, x):
         xa = np.asarray(x, dtype=float)
@@ -285,8 +255,8 @@ class Exponential(NullDensity):
     def _quantile(self, u: np.ndarray) -> np.ndarray:
         return -np.log1p(-u)
 
-    def to_json(self) -> dict:
-        return {"family": "exponential"}
+
+_FAMILIES = {cls.family: cls for cls in (Uniform01, Gaussian, Exponential)}
 
 
 def transform_to_uniform(d: NullDensity, sample: np.ndarray) -> np.ndarray:
@@ -299,35 +269,22 @@ def transform_to_uniform(d: NullDensity, sample: np.ndarray) -> np.ndarray:
 
 
 def null_from_spec(spec: str) -> NullDensity:
-    """Parse ``uniform``, ``exponential``, or ``gaussian:MEAN,SD``."""
-    s = spec.strip().lower()
-    if s == "uniform":
-        return Uniform01()
-    if s == "exponential":
-        return Exponential()
-    if s.startswith("gaussian"):
-        if s == "gaussian":
-            return Gaussian()
-        _, _, params = s.partition(":")
-        try:
-            mean, sd = (float(v) for v in params.split(","))
-        except ValueError as exc:
-            raise InvalidInputError(f"cannot parse gaussian spec {spec!r}") from exc
-        return Gaussian(mean=mean, sd=sd)
-    raise InvalidInputError(f"unknown null density spec {spec!r}")
+    """Parse ``FAMILY[:P1,P2,...]``: a family, then none or one number per
+    parameter, in field order; omitted parameters take their defaults."""
+    family, colon, params = spec.lower().partition(":")
+    cls = _FAMILIES.get(family := family.strip())
+    types = (float,) * len(dataclasses.fields(cls)) if cls else ()
+    if cls is None or (colon and not types):
+        raise InvalidInputError(f"unknown null density spec {spec!r}")
+    return cls(*parse_fields(params, types, f"null density {family!r}")) if colon else cls()
 
 
 def null_from_json(doc: dict) -> NullDensity:
     if not isinstance(doc, dict):
         raise InvalidInputError(f"null must be a JSON object, got {doc!r}")
     family = doc.get("family")
-    if family == "uniform":
-        return Uniform01()
-    if family == "exponential":
-        return Exponential()
-    if family == "gaussian":
-        return Gaussian(
-            mean=_json_field(doc, "mean", float, name="null.mean"),
-            sd=_json_field(doc, "sd", float, name="null.sd"),
-        )
-    raise InvalidInputError(f"unknown null density document {doc!r}")
+    cls = _FAMILIES.get(family) if isinstance(family, str) else None
+    if cls is None:
+        raise InvalidInputError(f"unknown null density document {doc!r}")
+    fields = (f.name for f in dataclasses.fields(cls))
+    return cls(**{f: _json_field(doc, f, float, name=f"null.{f}") for f in fields})

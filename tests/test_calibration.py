@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import json
+import math
 import os
 from concurrent.futures import Future
 
@@ -139,6 +140,14 @@ class TestCalibrate:
         with pytest.raises(InvalidInputError):
             calibrate(Uniform01(), [ModelIndex(PW, 2)], n=20, alpha=0.0, B1=200, B2=200)
 
+    @pytest.mark.parametrize(
+        "models", [[], [ModelIndex(PW, 2), ModelIndex(FOURIER, 1), ModelIndex(PW, 2)]], ids=["empty", "repeated"]
+    )
+    def test_empty_or_repeated_collection_is_refused_before_any_draw(self, models, monkeypatch):
+        monkeypatch.setattr(calibration, "simulate_null_stats", None)  # a draw would raise TypeError
+        with pytest.raises(InvalidInputError, match="nonempty and list each model once"):
+            calibrate(Uniform01(), models, n=20, B1=200, B2=200)
+
     def test_u_alpha_on_grid_and_level_constraint(self):
         table = calibrate(
             Uniform01(),
@@ -272,6 +281,12 @@ def _increasing_rows(doc):
             "not the u_alpha column",
         ),
         (_increasing_rows, "must not increase in u"),
+        (
+            lambda doc: doc.update(
+                models=doc["models"][:1] * 2, thresholds=doc["thresholds"][: 2 * len(doc["u_grid"])]
+            ),
+            "list each model once",
+        ),
         (lambda doc: doc.update(statistic_kind="composite_invariant"), "scale-search policy"),
         (
             lambda doc: doc.update(statistic_kind="composite_invariant", policy=_POLICY_DOC),
@@ -289,7 +304,7 @@ def _increasing_rows(doc):
     ids=[
         "truncated-thresholds", "thresholds-short-one-column", "missing-u-alpha",
         "missing-models", "null-without-mean", "one-budget", "reversed-u-grid",
-        "u-alpha-off-grid", "stale-u-alpha-column", "increasing-threshold-row",
+        "u-alpha-off-grid", "stale-u-alpha-column", "increasing-threshold-row", "repeated-model",
         "composite-without-policy", "composite-with-fourier-models", "composite-off-zero-support",
     ],
 )
@@ -385,3 +400,15 @@ def test_fourier_table_json_round_trip_is_byte_exact():
 def test_policy_json_round_trip_keeps_every_field(relative_span, coarse_points, refine_rounds, refine_factor):
     policy = ScaleSearchPolicy(relative_span, coarse_points, refine_rounds, refine_factor)
     _assert_same_fields(_json_round_trip(policy), policy)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("relative_span", 1.0), ("relative_span", math.inf), ("relative_span", math.nan),
+        ("coarse_points", 2), ("refine_rounds", -1), ("refine_factor", 0),
+    ],
+)
+def test_policy_out_of_range_is_an_input_error(field, value):
+    with pytest.raises(InvalidInputError):
+        ScaleSearchPolicy(**{field: value})

@@ -454,6 +454,16 @@ _MALFORMED_CLI = {
         "calibrate", "--null", "gaussian:0,1", "--models", "piecewise:2-4", "--n", "50",
         "--b1", "100", "--b2", "100", "--statistic", "composite", "--out", "{out}",
     ],
+    "infinite-policy-span": [
+        "calibrate", "--null", "exponential", "--models", "piecewise:2-3", "--n", "20",
+        "--statistic", "composite", "--policy", "inf,3,0,1", "--out", "{out}",
+    ],
+    "reversed-degree-range": [
+        "calibrate", "--null", "uniform", "--models", "piecewise:5-2,fourier:1-3", "--n", "20", "--out", "{out}",
+    ],
+    "repeated-model": [
+        "calibrate", "--null", "uniform", "--models", "piecewise:2-3,piecewise:3-4", "--n", "20", "--out", "{out}",
+    ],
     "missing-config-file": ["power", "--config", "{missing}"],
     "unknown-test-in-config": ["power", "--config", "{bogus_config}"],
     "non-integer-n-in-config": ["power", "--config", "{bad_n_config}"],
@@ -531,6 +541,36 @@ def test_config_field_of_the_wrong_json_type_exits_2_naming_it(field, doc, tmp_p
     path.write_text(json.dumps(config), encoding="utf-8")
     assert cli_main(["power", "--config", str(path), "--build-missing"]) == 2
     assert f"{field} must be a JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "field, test, model_params",
+    [
+        ("d_range", "td", {"d_range": [1, 2, 3]}),
+        ("d_range", "td", {"d_range": ["a", "b"]}),
+        ("d_range", "td", {"d_range": [10, 2]}),
+        ("d_range", "composite", {"d_range": [0, 4]}),
+        ("d_tr", "ttr", {"d_tr": -3}),
+        ("d_tr", "ttr", {"d_tr": 0}),
+        ("d_ct", "ttr_ct", {"d_ct": 0}),
+        ("d_of_n", "kl", {"d_of_n": 0}),
+    ],
+    ids=[
+        "d_range-three", "d_range-strings", "d_range-reversed", "d_range-from-0",
+        "d_tr-negative", "d_tr-0", "d_ct-0", "d_of_n-0",
+    ],
+)
+def test_model_params_out_of_range_in_config_exits_2_naming_it(field, test, model_params, tmp_path, capsys):
+    # unchecked, these crash with a TypeError (exit 1), build an empty model
+    # collection that never rejects, or fall back silently to a default
+    config = {
+        "test": test, "null": "uniform", "n": 25, "model_params": model_params,
+        "reps_power": 100, "reps_level": 100, "calib": [100, 100],
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    assert cli_main(["power", "--config", str(path), "--build-missing"]) == 2
+    assert f"model_params.{field} must be" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

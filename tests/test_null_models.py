@@ -206,12 +206,30 @@ class TestTransformToUniform:
         assert failures <= 3
 
 
-def test_null_from_spec_parsing():
-    assert null_from_spec("uniform") == Uniform01()
-    assert null_from_spec("exponential") == Exponential()
-    assert null_from_spec("gaussian:0,0.1") == Gaussian(0.0, 0.1)
+_SPECS = [
+    ("uniform", Uniform01(), "uniform", {"family": "uniform"}),
+    ("exponential", Exponential(), "exponential", {"family": "exponential"}),
+    ("gaussian", Gaussian(), "gaussian(0,1)", {"family": "gaussian", "mean": 0.0, "sd": 1.0}),
+    ("gaussian:0,0.1", Gaussian(0.0, 0.1), "gaussian(0,0.1)", {"family": "gaussian", "mean": 0.0, "sd": 0.1}),
+]
+
+
+@pytest.mark.parametrize("spec, d, name, doc", _SPECS, ids=[case[0] for case in _SPECS])
+def test_null_from_spec_parsing(spec, d, name, doc):
+    assert null_from_spec(spec) == d
+    assert d.name == name
+    assert d.to_json() == doc and list(d.to_json()) == list(doc)
+    assert null_from_json(d.to_json()) == d
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["cauchy", "gaussian:", "gaussian:1", "gaussian:0,1,2", "uniform:", "exponential:1", "gaussianx", {"family": ["x"]}],
+    ids=str,
+)
+def test_malformed_null_spec_or_document_is_an_input_error(spec):
     with pytest.raises(InvalidInputError):
-        null_from_spec("cauchy")
+        null_from_json(spec) if isinstance(spec, dict) else null_from_spec(spec)
 
 
 @pytest.mark.parametrize(
