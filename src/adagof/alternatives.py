@@ -542,8 +542,8 @@ def _spec(prefix, params, pdf, sampler, support, quad_window=(0.0, 1.0)) -> Alte
 def from_id(alt_id: str) -> AlternativeSpec:
     """Resolve a catalog id like ``f:0.5,2`` or ``exp:l:2,5,0.75``."""
     s = str(alt_id).strip()
-    prefix, params = (s, "") if s in _CATALOG else s.rpartition(":")[::2]
-    if prefix not in _CATALOG:
+    prefix, colon, params = (s, "", "") if s in _CATALOG else s.rpartition(":")
+    make, types = _CATALOG.get(prefix, (None, ()))
+    if make is None or (colon and not types):
         raise InvalidInputError(f"unknown alternative id {alt_id!r}")
-    make, types = _CATALOG[prefix]
     return make(*parse_fields(params, types, f"alternative {prefix!r}"))

@@ -11,7 +11,7 @@ the cosine-series test, whose published calibration is conservative.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 
 import numpy as np
@@ -59,15 +59,7 @@ class BaselineConfig:
     seed: int = 0
 
     def to_json(self) -> dict:
-        return {
-            "kind": self.kind.value,
-            "alpha": self.alpha,
-            "critical_value": self.critical_value,
-            "n": self.n,
-            "d_of_n": self.d_of_n,
-            "budget": self.budget,
-            "seed": self.seed,
-        }
+        return {**asdict(self), "kind": self.kind.value}
 
 
 def _sorted_cdf_ks(v: np.ndarray) -> np.ndarray:

@@ -40,7 +40,7 @@ class BasisFamily(enum.Enum):
 
 
 def bin_index(x: float, D: int, upper: float | None = None) -> int:
-    """Index ``k = floor(D * x)`` of the bin ``[k/D, (k+1)/D)`` holding ``x``.
+    """Index ``k = floor(D * x)`` (float64 product) of the bin ``[k/D, (k+1)/D)`` holding ``x``.
 
     When ``upper`` is given (bounded-support convention, e.g. uniformity
     testing on [0, 1]), an observation exactly at the upper support edge is

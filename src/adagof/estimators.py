@@ -61,9 +61,13 @@ from .errors import (
 from .null_models import NullDensity
 
 
+#: Largest model degree; a Fourier degree stacks that many functions per observation.
+_MAX_DEGREE = 1 << 16
+
+
 @dataclass(frozen=True)
 class ModelIndex:
-    """One projection space: a basis family at a given resolution."""
+    """One projection space: a basis family at a degree in 1.._MAX_DEGREE."""
 
     family: BasisFamily
     degree: int
@@ -73,8 +77,8 @@ class ModelIndex:
             raise InvalidInputError(
                 f"model spaces use the piecewise or fourier family, got {self.family}"
             )
-        if self.degree < 1:
-            raise InvalidInputError(f"degree must be >= 1, got {self.degree}")
+        if not 1 <= self.degree <= _MAX_DEGREE:
+            raise InvalidInputError(f"degree must lie in 1..{_MAX_DEGREE}, got {self.degree}")
 
     @property
     def label(self) -> str:
@@ -174,10 +178,14 @@ def scale_free_ratios(x: np.ndarray) -> np.ndarray:
     scaled input (a few ulp) is orders of magnitude below the quantum, so
     both inputs land on the same canonical values outside a measure-zero set
     of boundary ties.  The 6e-8 relative perturbation is far below Monte
-    Carlo resolution everywhere the statistic is consumed.
+    Carlo resolution everywhere the statistic is consumed.  A row whose mean
+    overflows the float range raises :class:`InvalidInputError`.
     """
-    ratios = x / np.mean(x, axis=-1, keepdims=True)
-    return np.float32(ratios).astype(np.float64)
+    with np.errstate(over="ignore"):
+        mean = np.mean(x, axis=-1, keepdims=True)
+    if not np.isfinite(mean).all():
+        raise InvalidInputError("sample mean overflows the float range")
+    return np.float32(x / mean).astype(np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +257,9 @@ def _theta_batch(x: np.ndarray, models, upper: float | None) -> np.ndarray:
     if piecewise:
         # every piecewise degree in one stacked (degree, row, obs) pass per block
         degrees = np.array([models[c].degree for c in piecewise])[:, None, None]
+        top = max(models[c].degree for c in piecewise)  # |x| peaks at a sorted row's ends
+        if not math.isfinite(top * float(max(-x[:, 0].min(), x[:, -1].max()))):
+            raise InvalidInputError(f"|x| times degree {top} overflows the float range")
         for blk in _row_blocks(b, n * len(piecewise)):
             bins = np.floor(degrees * x[blk])
             if upper is not None:

@@ -113,32 +113,21 @@ def mixed_models(d_tr: int, d_ct: int) -> list[ModelIndex]:
     return scale_models(2, d_ct) + trigonometric_models(d_tr)
 
 
-# Adaptive test -> (null spec its table is calibrated under, or None for the
-# configured null; model collection; statistic).  TTR and TTR_CT see the
-# null-cdf transform of the data, so they are calibrated under the uniform.
-_ADAPTIVE = {
-    TestKind.TTR: (
-        "uniform", lambda mp: trigonometric_models(mp.d_tr or 6), StatisticKind.SIMPLE
-    ),
+# Test -> (null spec its statistic is simulated under, or None for the
+# configured null; statistic; an adaptive statistic's model collection).
+_TESTS = {
+    TestKind.TTR: ("uniform", StatisticKind.SIMPLE, lambda mp: trigonometric_models(mp.d_tr or 6)),
     TestKind.TTR_CT: (
-        "uniform", lambda mp: mixed_models(mp.d_tr or 6, mp.d_ct or 6), StatisticKind.SIMPLE
+        "uniform", StatisticKind.SIMPLE, lambda mp: mixed_models(mp.d_tr or 6, mp.d_ct or 6)
     ),
-    TestKind.TD: (
-        None, lambda mp: scale_models(*(mp.d_range or (1, 10))), StatisticKind.SIMPLE
-    ),
+    TestKind.TD: (None, StatisticKind.SIMPLE, lambda mp: scale_models(*(mp.d_range or (1, 10)))),
     TestKind.COMPOSITE: (
-        None,
-        lambda mp: scale_models(*(mp.d_range or (2, 10))),
-        StatisticKind.COMPOSITE_INVARIANT,
+        None, StatisticKind.COMPOSITE_INVARIANT, lambda mp: scale_models(*(mp.d_range or (2, 10)))
     ),
-}
-
-# Baseline test -> the baseline it runs.
-_BASELINE = {
-    TestKind.KS: BaselineKind.KS,
-    TestKind.KS_EXP: BaselineKind.KS_EXPONENTIAL,
-    TestKind.BR: BaselineKind.BICKEL_RITOV,
-    TestKind.KL: BaselineKind.KALLENBERG_LEDWINA,
+    TestKind.KS: ("uniform", BaselineKind.KS, None),
+    TestKind.KS_EXP: ("exponential", BaselineKind.KS_EXPONENTIAL, None),
+    TestKind.BR: ("uniform", BaselineKind.BICKEL_RITOV, None),
+    TestKind.KL: ("uniform", BaselineKind.KALLENBERG_LEDWINA, None),
 }
 
 
@@ -282,12 +271,6 @@ def _csv_document(header: tuple[str, ...], rows) -> str:
 # ---------------------------------------------------------------------------
 
 
-# Tests that act on the null-cdf transform of the data, which is the identity
-# when the null itself is uniform: the trigonometric, mixed, cosine-series,
-# smooth and plain KS procedures.
-_ON_TRANSFORM = frozenset({TestKind.TTR, TestKind.TTR_CT, TestKind.KS, TestKind.BR, TestKind.KL})
-
-
 def _decision_chunk(null, alt_id, n, columns, seed, label, start, stop) -> np.ndarray:
     """Rejection counts of each test column on replicates ``start .. stop - 1``,
     summed over the lane blocks of ``sample_blocks``, each scored by every
@@ -311,18 +294,21 @@ def _block_counts(null, samples, columns) -> np.ndarray:
     union of those tables' models; these run after the other kernels, so no
     union matrix is held while another kernel runs.
     """
+    # A statistic simulated under U(0, 1) must see F0(X), the null-cdf
+    # transform of the data, which is the identity when the null is uniform.
+    on_transform = [_TESTS[col.kind][0] == "uniform" for col in columns]
     inputs = {False: samples}
-    if any(col.kind in _ON_TRANSFORM for col in columns):
+    if any(on_transform):
         inputs[True] = transform_to_uniform(null, samples)
     counts = np.zeros(len(columns), dtype=np.int64)
     unions: dict[tuple, list[int]] = {}
     for k, col in enumerate(columns):
-        x = inputs[col.kind in _ON_TRANSFORM]
+        x = inputs[on_transform[k]]
         b, table = col.baseline, col.table
         if b is not None:
             counts[k] = np.sum(baseline_statistics(b.kind, x, b.d_of_n) > b.critical_value)
         elif table.statistic_kind is StatisticKind.SIMPLE:
-            unions.setdefault((table.null, col.kind in _ON_TRANSFORM), []).append(k)
+            unions.setdefault((table.null, on_transform[k]), []).append(k)
         else:
             stats = composite_scale_stats_batch(x, table.models, table.null, table.policy)
             counts[k] = _rejections(stats, table)
@@ -438,7 +424,7 @@ def _adaptive_table_spec(
 ) -> tuple[str, list[ModelIndex], StatisticKind, ScaleSearchPolicy | None]:
     """Null spec, models, statistic and search policy (composite only) of an
     adaptive test's table."""
-    null_spec, models, kind = _ADAPTIVE[config.test]
+    null_spec, kind, models = _TESTS[config.test]
     policy = None
     if kind is StatisticKind.COMPOSITE_INVARIANT:
         policy = config.model_params.policy or ScaleSearchPolicy()
@@ -471,10 +457,9 @@ def build_column(
     and, with ``build_missing``, a missing adaptive table too.  A supplied
     table must fit the config (:meth:`CalibrationTable.check`)."""
     name = config.test.value
-    if config.test in _BASELINE:
+    if isinstance(kind := _TESTS[config.test][1], BaselineKind):
         cfg = _cached_baseline(
-            _BASELINE[config.test], config.n, config.alpha, config.calib[0], config.seed,
-            config.model_params.d_of_n,
+            kind, config.n, config.alpha, config.calib[0], config.seed, config.model_params.d_of_n
         )
         return TestColumn(name, config.test, baseline=cfg)
     null, models, kind, policy = _adaptive_table_spec(config)
@@ -618,23 +603,22 @@ _PRESETS = {
 
 def _preset_columns(null, n, columns, alpha, B, seed, workers) -> list[TestColumn]:
     """A block's test columns.  The adaptive tables that share a null,
-    statistic and policy are calibrated in one ``_cached_calibrate`` call."""
+    statistic and policy are calibrated in one ``_cached_calibrate`` call, so
+    each column's own lookup finds its table."""
     configs = [
         ExperimentConfig(test, null, n, alpha, params, calib=(B, B), seed=seed)
         for _, test, params in columns
     ]
-    specs = {k: _adaptive_table_spec(c) for k, c in enumerate(configs) if c.test in _ADAPTIVE}
-    groups: dict[tuple, list[int]] = {}
-    for k, (table_null, _, kind, policy) in specs.items():
-        groups.setdefault((null_from_spec(table_null), kind, policy), []).append(k)
-    tables = {}
-    for (d, kind, policy), members in groups.items():
-        collections = tuple(tuple(specs[k][1]) for k in members)
-        group = _cached_calibrate(d, collections, n, alpha, B, B, kind, seed, policy, workers)
-        tables.update(zip(members, group))
+    groups: dict[tuple, list[tuple]] = {}
+    for config in configs:
+        if isinstance(_TESTS[config.test][1], StatisticKind):
+            table_null, models, kind, policy = _adaptive_table_spec(config)
+            groups.setdefault((null_from_spec(table_null), kind, policy), []).append(tuple(models))
+    for (d, kind, policy), collections in groups.items():
+        _cached_calibrate(d, tuple(collections), n, alpha, B, B, kind, seed, policy, workers)
     return [
-        dataclasses.replace(build_column(config, tables.get(k), workers), name=name)
-        for k, ((name, _, _), config) in enumerate(zip(columns, configs))
+        dataclasses.replace(build_column(config, None, workers, build_missing=True), name=name)
+        for (name, _, _), config in zip(columns, configs)
     ]
 
 
@@ -658,15 +642,17 @@ def table_cells(table_id: str, seed: int = 0, scale: float = 1.0, workers: int =
     return cells
 
 
-def reproduce_table(
-    table_id: str, seed: int = 0, scale: float = 1.0, workers: int = 1
-) -> str:
+def reproduce_table(table_id: str, seed: int = 0, scale: float = 1.0, workers: int = 1) -> str:
     """CSV document for one benchmark preset, one row per (alternative, test).
 
     Rows appear in the preset's row-major order (alternatives as published,
     then the levels row); reruns with the same arguments are byte-identical.
     """
+    return _table_csv(table_id, table_cells(table_id, seed, scale, workers))
+
+
+def _table_csv(table_id: str, cells: list[TableCell]) -> str:
     return _csv_document(
         ("table", "null", "section", "alternative", "test", "estimate", "std_error", "reps"),
-        [(table_id, *dataclasses.astuple(c)) for c in table_cells(table_id, seed, scale, workers)],
+        [(table_id, *dataclasses.astuple(c)) for c in cells],
     )

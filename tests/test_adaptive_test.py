@@ -23,7 +23,7 @@ from adagof.baselines import (
 )
 from adagof.bases import BasisFamily
 from adagof.calibration import StatisticKind, calibrate
-from adagof.errors import AdagofError, SupportViolationError, TableMismatchError
+from adagof.errors import AdagofError, InvalidInputError, SupportViolationError, TableMismatchError
 from adagof.estimators import (
     ModelIndex,
     ScaleSearchPolicy,
@@ -295,6 +295,31 @@ def test_non_finite_sample_raises_at_every_entry_point(tables, entry, replicate,
         x[int(where * n)] = value
     with pytest.raises(AdagofError):
         call(x, tables)
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_sample_whose_mean_overflows_is_refused(composite_table):
+    # the decision is scale invariant up to the top of the float range; past
+    # it the mean overflowed to inf and the test rejected, warning only
+    x = Exponential().sample(60, derive_stream(35, "overflow", 0))
+    base = run_composite_invariant_test(x, Exponential(), None, composite_table)
+    for c in (1e300, 1e306):
+        scaled = run_composite_invariant_test(c * x, Exponential(), None, composite_table)
+        assert scaled.statistic == base.statistic
+    assert ks_exponential_statistic(1e306 * x) == ks_exponential_statistic(x)
+    with pytest.raises(InvalidInputError, match="mean overflows"):
+        run_composite_invariant_test(1e307 * x, Exponential(), None, composite_table)
+    with pytest.raises(InvalidInputError, match="mean overflows"):
+        ks_exponential_statistic(1e307 * x)
+
+
+@pytest.mark.filterwarnings("error")
+def test_an_observation_whose_bin_overflows_is_refused(gauss_table):
+    # floor(D * x) overflowed to inf, so distinct huge observations shared a bin
+    x = Gaussian(0.0, 1.0).sample(50, derive_stream(35, "overflow", 1))
+    x[[3, 17]] = 1e308, -1e308
+    with pytest.raises(InvalidInputError, match="overflows the float range"):
+        run_simple_test(x, Gaussian(0.0, 1.0), gauss_table)
 
 
 _DECIDE_WITHOUT_SCIPY_SPECIAL = """

@@ -208,10 +208,11 @@ def test_ids_roundtrip_for_constructors():
 
 @pytest.mark.parametrize(
     "alt_id",
-    ["f:abc,2", "exp:g:4.5", "norm:f:x", "f:0.5,2.7"],
+    ["f:abc,2", "exp:g:4.5", "norm:f:x", "f:0.5,2.7", "exp:t:", "exp:v:"],
 )
 def test_from_id_rejects_malformed_parameters(alt_id):
-    # integer parameters parse as integers: f:0.5,2.7 is not silently j=2
+    # integer parameters parse as integers: f:0.5,2.7 is not silently j=2;
+    # a parameterless id takes no ':', as a null spec does not
     with pytest.raises(InvalidInputError):
         from_id(alt_id)
 

@@ -6,6 +6,7 @@ import pytest
 from numpy.polynomial import legendre as npleg
 
 from adagof.baselines import (
+    BaselineConfig,
     BaselineKind,
     _cosine_colsums,
     bickel_ritov_statistic,
@@ -186,6 +187,16 @@ class TestCalibrateBaseline:
         a = calibrate_baseline(BaselineKind.KS, 30, B=1000, seed=3)
         b = calibrate_baseline(BaselineKind.KS, 30, B=1000, seed=3)
         assert a == b
+
+    def test_config_json_keys_and_values(self):
+        cfg = BaselineConfig(BaselineKind.BICKEL_RITOV, 0.05, 3.25, 50, d_of_n=10, budget=1000, seed=2)
+        doc = cfg.to_json()
+        assert list(doc) == ["kind", "alpha", "critical_value", "n", "d_of_n", "budget", "seed"]
+        assert doc == {
+            "kind": "bickel_ritov", "alpha": 0.05, "critical_value": 3.25, "n": 50,
+            "d_of_n": 10, "budget": 1000, "seed": 2,
+        }
+        assert BaselineConfig(BaselineKind.KS, 0.1, 0.2, 30).to_json()["d_of_n"] is None
 
     def test_budget_floor(self):
         with pytest.raises(BudgetTooSmallError):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
@@ -38,9 +38,12 @@ class TestBinIndex:
             bin_index(math.inf, 2)
 
     @given(st.floats(-100, 100), st.integers(1, 64))
+    @example(-1.1, 50)  # (k + 1) / D rounds to the double x itself
     def test_point_lies_in_its_bin(self, x, D):
+        # the bin is the floor of the float64 product D * x, as in the kernels
         k = bin_index(x, D)
-        assert k / D <= x < (k + 1) / D
+        assert k == math.floor(D * x)
+        assert k <= D * x < k + 1
 
 
 class TestFourier:

@@ -58,12 +58,16 @@ def test_null_stats_chunk_equals_the_kernel_on_the_whole_range(d, models, kind):
     assert empty.shape == (0, len(models))
 
 
+# The tests whose statistic is simulated under the uniform, so they see F0(X).
+_ON_TRANSFORM = {TestKind.TTR, TestKind.TTR_CT, TestKind.KS, TestKind.BR, TestKind.KL}
+
+
 def _reference_counts(null, alt_id, n, columns, seed, label):
     """Each column's rejections on the whole range, on its own models."""
     samples = draw_samples(_sample(null, alt_id), n, seed, label, START, STOP)
     counts = []
     for col in columns:
-        x = transform_to_uniform(null, samples) if col.kind in harness._ON_TRANSFORM else samples
+        x = transform_to_uniform(null, samples) if col.kind in _ON_TRANSFORM else samples
         b, table = col.baseline, col.table
         if b is not None:
             stats, critical = baseline_statistics(b.kind, x, b.d_of_n)[:, None], b.critical_value

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import io
 import json
+import time
 
 import numpy as np
 import pytest
@@ -9,10 +10,10 @@ import pytest
 from adagof import calibration, harness
 from adagof.baselines import BaselineKind, calibrate_baseline
 from adagof.calibration import StatisticKind, calibrate
-from adagof.cli import _parse_policy
+from adagof.cli import _parse_policy, parse_models
 from adagof.cli import main as cli_main
 from adagof.errors import CalibrationMissingError, TableMismatchError
-from adagof.estimators import ScaleSearchPolicy
+from adagof.estimators import _MAX_DEGREE, ScaleSearchPolicy, simple_stats_batch
 from adagof.harness import (
     ExperimentConfig,
     ModelParams,
@@ -571,6 +572,35 @@ def test_model_params_out_of_range_in_config_exits_2_naming_it(field, test, mode
     path.write_text(json.dumps(config), encoding="utf-8")
     assert cli_main(["power", "--config", str(path), "--build-missing"]) == 2
     assert f"model_params.{field} must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ["models-spec", "config-d_tr"])
+def test_a_degree_past_the_cap_exits_2_within_a_second(case, tmp_path, capsys):
+    # both built one model per degree until memory ran out; the degree
+    # ranges are lazy, so they now fail at the first degree past the cap
+    config = {
+        "test": "ttr", "null": "uniform", "n": 25, "model_params": {"d_tr": 10**9},
+        "reps_power": 100, "reps_level": 100, "calib": [100, 100],
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    argv = {
+        "models-spec": [
+            "calibrate", "--null", "uniform", "--models", "piecewise:2-3100000000000000000000",
+            "--n", "20", "--out", str(tmp_path / "table.json"),
+        ],
+        "config-d_tr": ["power", "--config", str(path), "--build-missing"],
+    }[case]
+    start = time.perf_counter()
+    assert cli_main(argv) == 2
+    assert time.perf_counter() - start < 1.0
+    assert f"degree must lie in 1..{_MAX_DEGREE}" in capsys.readouterr().err
+
+
+def test_models_at_the_degree_cap_are_accepted():
+    models = parse_models(f"piecewise:{_MAX_DEGREE},fourier:{_MAX_DEGREE}")
+    assert [m.degree for m in models] == [_MAX_DEGREE, _MAX_DEGREE]
+    assert np.all(np.isfinite(simple_stats_batch(np.linspace(0.05, 0.95, 5)[None], models, Uniform01())))
 
 
 @pytest.mark.parametrize(
