@@ -19,7 +19,7 @@ import numpy as np
 from .bases import legendre_polys, multiple_angles
 from .calibration import sample_blocks, threshold_matrix
 from .errors import BudgetTooSmallError, InvalidInputError, SupportViolationError
-from .estimators import _checked_rows, _row, _row_blocks, scale_free_ratios
+from .estimators import _MAX_DEGREE, _checked_rows, _row, _row_blocks, scale_free_ratios
 from .null_models import Exponential, NullDensity, Uniform01
 
 # Imported only so that perfbench/tracing.py can wrap it at this import site.
@@ -130,8 +130,8 @@ def bickel_ritov_statistic(sample: np.ndarray, d_of_n: int) -> float:
 def bickel_ritov_statistic_batch(samples: np.ndarray, d_of_n: int) -> np.ndarray:
     x = _checked_rows(samples, min_n=1)
     _check_unit_interval(x)
-    if d_of_n < 1:
-        raise InvalidInputError("series dimension must be >= 1")
+    if not 1 <= d_of_n <= _MAX_DEGREE:
+        raise InvalidInputError(f"series dimension must lie in 1..{_MAX_DEGREE}, got {d_of_n}")
     n = x.shape[1]
     sums = _cosine_colsums(x, d_of_n)
     t_nd = np.cumsum(2.0 * sums * sums / n, axis=0)  # (dmax, B)

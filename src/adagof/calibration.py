@@ -48,6 +48,7 @@ from .errors import (
     invalid_input,
 )
 from .estimators import (
+    _MAX_DEGREE,
     ModelIndex,
     ScaleSearchPolicy,
     _check_scale_search,
@@ -364,8 +365,8 @@ def calibrate_collections(
     """
     if not 0.0 < alpha < 1.0:
         raise InvalidInputError(f"alpha must lie in (0, 1), got {alpha}")
-    if u_grid_size < 1:
-        raise InvalidInputError("u grid size must be >= 1")
+    if not 1 <= u_grid_size <= _MAX_DEGREE:
+        raise InvalidInputError(f"u grid size must lie in 1..{_MAX_DEGREE}, got {u_grid_size}")
     for budget, stage in ((B1, "threshold"), (B2, "level")):
         if budget < 100:
             raise BudgetTooSmallError(f"{stage} budget must be >= 100, got {budget}")

@@ -135,10 +135,12 @@ class ScaleSearchPolicy:
     def __post_init__(self) -> None:
         if not 1.0 < self.relative_span < math.inf:
             raise InvalidInputError(f"relative_span must exceed 1 and be finite, got {self.relative_span!r}")
-        if self.coarse_points < 3:
-            raise InvalidInputError("coarse_points must be >= 3")
-        if self.refine_rounds < 0 or self.refine_factor < 1:
-            raise InvalidInputError("refinement parameters must be nonnegative/positive")
+        # At factor >= 2 a round at least halves the window, so past about 50
+        # rounds it is below float64 resolution.
+        caps = {"coarse_points": (3, _MAX_DEGREE), "refine_rounds": (0, 64), "refine_factor": (1, _MAX_DEGREE)}
+        for name, (lo, hi) in caps.items():
+            if not lo <= (value := getattr(self, name)) <= hi:
+                raise InvalidInputError(f"{name} must lie in {lo}..{hi}, got {value!r}")
 
     def ratios(self) -> np.ndarray:
         span = math.log(self.relative_span)

@@ -200,13 +200,13 @@ class ExperimentConfig:
                 test=TestKind(doc["test"]),
                 null=str(doc["null"]),
                 n=_json_field(doc, "n", int, None),
-                alpha=_json_field(doc, "alpha", float, 0.05),
-                model_params=ModelParams.from_json(doc.get("model_params", {})),
-                alternatives=_json_field(doc, "alternatives", list, ()),
-                reps_power=_json_field(doc, "reps_power", int, 5000),
-                reps_level=_json_field(doc, "reps_level", int, 20_000),
-                calib=_json_field(doc, "calib", list, (20_000, 20_000)),
-                seed=_json_field(doc, "seed", int, 0),
+                model_params=(
+                    ModelParams.from_json(doc["model_params"]) if "model_params" in doc else cls.model_params
+                ),
+                **{key: _json_field(doc, key, kind, getattr(cls, key)) for key, kind in (
+                    ("alpha", float), ("alternatives", list), ("reps_power", int),
+                    ("reps_level", int), ("calib", list), ("seed", int),
+                )},
             )
 
     @classmethod
@@ -230,29 +230,18 @@ class TestColumn:
 
 
 @dataclass
-class PowerEntry:
-    alternative: str
-    power: float
-    std_error: float
-    reps: int
-
-
-@dataclass
 class PowerReport:
-    test: str
-    null: str
-    n: int
-    alpha: float
-    entries: list[PowerEntry]
-    level: float
-    level_std_error: float
-    reps_level: int
-    wall_clock_s: float = 0.0
+    """A power run: its config, its cells (the ``(null)`` level row last) and wall-clock time."""
+
+    config: ExperimentConfig
+    cells: list[TableCell]
+    wall_clock_s: float
 
     def to_csv(self) -> str:
-        rows = [(e.alternative, self.test, e.power, e.std_error, e.reps) for e in self.entries]
-        rows.append(("(null)", self.test, self.level, self.level_std_error, self.reps_level))
-        return _csv_document(("alternative", "test", "estimate", "std_error", "reps"), rows)
+        return _csv_document(
+            ("alternative", "test", "estimate", "std_error", "reps"),
+            [(c.alternative, c.test, c.estimate, c.std_error, c.reps) for c in self.cells],
+        )
 
 
 def _csv_document(header: tuple[str, ...], rows) -> str:
@@ -494,15 +483,10 @@ def estimate_power(
     null = null_from_spec(config.null)
     column = build_column(config, calibration, workers, build_missing)
     rows = [(None, alt_id, alt_id) for alt_id in config.alternatives]
-    *power, level = _run_block(
+    cells = _run_block(
         null, rows, [column], config.n, config.reps_power, config.reps_level, config.seed, workers
     )
-    return PowerReport(
-        test=config.test.value, null=config.null, n=config.n, alpha=config.alpha,
-        entries=[PowerEntry(c.alternative, c.estimate, c.std_error, c.reps) for c in power],
-        level=level.estimate, level_std_error=level.std_error, reps_level=config.reps_level,
-        wall_clock_s=time.perf_counter() - t0,
-    )
+    return PowerReport(config, cells, time.perf_counter() - t0)
 
 
 # ---------------------------------------------------------------------------

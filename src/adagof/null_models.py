@@ -216,8 +216,10 @@ class Gaussian(NullDensity):
         return 1.0 / (2.0 * self.sd * math.sqrt(math.pi))
 
     def pdf(self, x):
-        z = (np.asarray(x, dtype=float) - self.mean) / self.sd
-        out = np.exp(-0.5 * z * z) / (self.sd * math.sqrt(2.0 * math.pi))
+        # far out, z or z * z overflows to inf and the density is exactly 0
+        with np.errstate(over="ignore"):
+            z = (np.asarray(x, dtype=float) - self.mean) / self.sd
+            out = np.exp(-0.5 * z * z) / (self.sd * math.sqrt(2.0 * math.pi))
         return out if out.ndim else float(out)
 
     def cdf(self, x):

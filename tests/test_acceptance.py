@@ -10,6 +10,7 @@ lines as they complete.
 """
 
 import hashlib
+import json
 import math
 import os
 
@@ -29,7 +30,7 @@ from adagof.estimators import (
 from adagof.adaptive_test import run_composite_invariant_test
 from adagof.calibration import StatisticKind, calibrate
 from adagof.cli import parse_models
-from adagof.harness import _table_csv, table_cells, scale_models
+from adagof.harness import _PRESETS, _preset_columns, _scaled_budgets, _table_csv, table_cells, scale_models
 from adagof.null_models import Exponential, Gaussian, Uniform01, null_from_spec, transform_to_uniform
 from adagof.streams import derive_stream
 
@@ -119,11 +120,26 @@ def _report(criterion: str, failures: list[str]) -> None:
 
 
 @pytest.fixture(scope="module")
-def preset_rows():
-    return {
-        table_id: table_cells(table_id, seed=SEED, scale=SCALE, workers=WORKERS)
-        for table_id in ("T1", "T2", "T3", "T4")
-    }
+def preset_runs():
+    """Each preset's cells, and its test columns keyed (null, column name),
+    read right after its ``table_cells`` call: the same cache hits that
+    perfbench's ``_uniformity_columns`` makes, so nothing calibrates twice."""
+    B = _scaled_budgets(SCALE)[0]
+    runs = {}
+    for table_id in ("T1", "T2", "T3", "T4"):
+        cells = table_cells(table_id, seed=SEED, scale=SCALE, workers=WORKERS)
+        columns = {
+            (null_from_spec(null).name, col.name): col
+            for null, n, _, block in _PRESETS[table_id]
+            for col in _preset_columns(null, n, block, ALPHA, B, SEED, WORKERS)
+        }
+        runs[table_id] = cells, columns
+    return runs
+
+
+@pytest.fixture(scope="module")
+def preset_rows(preset_runs):
+    return {table_id: cells for table_id, (cells, _) in preset_runs.items()}
 
 
 @pytest.fixture(scope="module")
@@ -319,6 +335,49 @@ def test_preset_csv_bytes_keep_their_digests(preset_rows):
         for table_id, rows in preset_rows.items()
     }
     failures = _digest_failures(PRESET_DIGESTS[SCALE], got)
+    assert not failures, failures
+
+
+# sha256 of each preset column's calibration at scale 0.25, seed 1: an
+# adaptive table as ``CalibrationTable.save`` writes it, a baseline as
+# ``json.dumps(BaselineConfig.to_json())``.  A threshold or critical value
+# can move by an ulp and leave every CSV digest above unchanged.
+PRESET_COLUMN_DIGESTS = {
+    0.25: {
+        ("T1", "uniform", "T_tr"): "efaf870a9d7d5ef4a16b9bf64b88b461bb8539929de82a6c1d8319818187ce8d",
+        ("T1", "uniform", "T_tr/ct"): "d497562cefa2082b8d6f72139053e431b808bcd08d9850462ae5e3264020e345",
+        ("T1", "uniform", "T_KL"): "13cd46c8dfcefa09e38aa2e2800d7220cc18ee2a4e3f7dfe097294b986b036ef",
+        ("T1", "uniform", "T_BR"): "7ce4a78a1d51bef5f22c0d0cd45600e9928262ba5d5c402a874ba1b76a05ecf1",
+        ("T1", "uniform", "T_KS"): "86bdb1f85dafb7476b57850d72bfacd311b92deb27e243be1126b5c13332ce39",
+        ("T2", "uniform", "T_tr"): "b8396882f0be53941c9cc8f7e0bf697b2c6cbebc96188bb956ec921882b714a0",
+        ("T2", "uniform", "T_tr/ct"): "cd58be959c10804c414120dfc5b26e361990d149a628162c901ff0f46f6a82d6",
+        ("T2", "uniform", "T_KL"): "bb78bf28005981d096daf1890fd81e8880ad7a48793abe07d3703d7e171daa9c",
+        ("T2", "uniform", "T_BR"): "291b3f2daa2e0b906f1c7a12a8277d4b733ab3f90e7a5fe93458667be1f91a87",
+        ("T2", "uniform", "T_KS"): "8f8d07c65e5db4dd7cbc2f941b5172aa7877d73d4fa31df107841544db283ba6",
+        ("T3", "gaussian(0,1)", "T_d"): "1d2e87d7b00211a78f10147630e7fcbd4bdb7cab52a4ab67feb2ab55433854a8",
+        ("T3", "gaussian(0,1)", "T_tr/ct"): "cd58be959c10804c414120dfc5b26e361990d149a628162c901ff0f46f6a82d6",
+        ("T3", "gaussian(0,1)", "T_KS"): "8f8d07c65e5db4dd7cbc2f941b5172aa7877d73d4fa31df107841544db283ba6",
+        ("T3", "gaussian(0,0.1)", "T_d"): "322399c63009a1a3eaff8feefe2a6847f2e045a1feb9978c04c7083e9cde5005",
+        ("T3", "gaussian(0,0.1)", "T_tr/ct"): "cd58be959c10804c414120dfc5b26e361990d149a628162c901ff0f46f6a82d6",
+        ("T3", "gaussian(0,0.1)", "T_KS"): "8f8d07c65e5db4dd7cbc2f941b5172aa7877d73d4fa31df107841544db283ba6",
+        ("T4", "exponential", "T_comp"): "91560e289ac602adb0d8e88e7f61287c5c9960441b183dbb0379f7a66b741edb",
+        ("T4", "exponential", "T_KS_exp"): "47c30bb7222571dcd31a26fb6be3117c8638138677b9924a1b5882ccbbb01051",
+    },
+}
+
+
+def test_preset_tables_and_critical_values_keep_their_digests(preset_runs):
+    if SCALE not in PRESET_COLUMN_DIGESTS:
+        pytest.skip(f"no reference table digests at ADAGOF_ACCEPTANCE_SCALE={SCALE}")
+    got = {}
+    for table_id, (_, columns) in preset_runs.items():
+        for (null, name), col in columns.items():
+            if col.table is not None:
+                text = json.dumps(col.table.to_json(), indent=1)
+            else:
+                text = json.dumps(col.baseline.to_json())
+            got[table_id, null, name] = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    failures = _digest_failures(PRESET_COLUMN_DIGESTS[SCALE], got)
     assert not failures, failures
 
 

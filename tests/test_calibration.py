@@ -26,7 +26,7 @@ from adagof.errors import (
     CalibrationFailureError,
     InvalidInputError,
 )
-from adagof.estimators import ModelIndex, ScaleSearchPolicy
+from adagof.estimators import _MAX_DEGREE, ModelIndex, ScaleSearchPolicy
 from adagof.null_models import Exponential, Gaussian, Uniform01
 
 PW = BasisFamily.PIECEWISE_CONSTANT
@@ -393,9 +393,9 @@ def test_fourier_table_json_round_trip_is_byte_exact():
 @settings(max_examples=200, deadline=None)
 @given(
     relative_span=st.floats(min_value=1.0, exclude_min=True, allow_nan=False, allow_infinity=False),
-    coarse_points=st.integers(3, 10**9),
-    refine_rounds=st.integers(0, 10**9),
-    refine_factor=st.integers(1, 10**9),
+    coarse_points=st.integers(3, _MAX_DEGREE),
+    refine_rounds=st.integers(0, 64),
+    refine_factor=st.integers(1, _MAX_DEGREE),
 )
 def test_policy_json_round_trip_keeps_every_field(relative_span, coarse_points, refine_rounds, refine_factor):
     policy = ScaleSearchPolicy(relative_span, coarse_points, refine_rounds, refine_factor)
@@ -407,6 +407,7 @@ def test_policy_json_round_trip_keeps_every_field(relative_span, coarse_points, 
     [
         ("relative_span", 1.0), ("relative_span", math.inf), ("relative_span", math.nan),
         ("coarse_points", 2), ("refine_rounds", -1), ("refine_factor", 0),
+        ("coarse_points", _MAX_DEGREE + 1), ("refine_rounds", 65), ("refine_factor", _MAX_DEGREE + 1),
     ],
 )
 def test_policy_out_of_range_is_an_input_error(field, value):

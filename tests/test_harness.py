@@ -155,9 +155,11 @@ class TestEstimatePower:
         )
         report = estimate_power(config, calibration=tiny_table)
         # the level row IS the power at the null by definition
-        assert abs(report.level - 0.05) < 0.02
-        assert report.level_std_error == pytest.approx(
-            np.sqrt(report.level * (1 - report.level) / 2000)
+        (level,) = report.cells
+        assert (level.alternative, level.reps) == ("(null)", 2000)
+        assert abs(level.estimate - 0.05) < 0.02
+        assert level.std_error == pytest.approx(
+            np.sqrt(level.estimate * (1 - level.estimate) / 2000)
         )
 
     def test_report_csv_shape(self, tiny_table):
@@ -173,7 +175,7 @@ class TestEstimatePower:
         assert len(lines) == 4  # two alternatives + level row
         assert lines[-1].startswith("(null),ttr,")
         # power against a real alternative should exceed the level
-        assert report.entries[0].power > report.level
+        assert report.cells[0].estimate > report.cells[-1].estimate
 
     def test_report_csv_parses_to_its_values(self, tiny_table):
         # alternative ids such as f:0.5,2 hold commas, so they are quoted
@@ -186,8 +188,8 @@ class TestEstimatePower:
         report = estimate_power(config, calibration=tiny_table)
         rows = list(csv.reader(io.StringIO(report.to_csv())))
         assert rows[0] == ["alternative", "test", "estimate", "std_error", "reps"]
-        want = [(e.alternative, e.power, e.std_error, e.reps) for e in report.entries]
-        want.append(("(null)", report.level, report.level_std_error, report.reps_level))
+        want = [(c.alternative, c.estimate, c.std_error, c.reps) for c in report.cells]
+        assert [alt for alt, *_ in want] == [*config.alternatives, "(null)"]
         assert rows[1:] == [[alt, "ttr", f"{p:.6f}", f"{se:.6f}", str(r)] for alt, p, se, r in want]
 
     def test_config_json_roundtrip(self, tmp_path):
@@ -213,17 +215,15 @@ def test_power_report_matches_its_preset_column():
     scale, seed = 0.012, 3
     B, reps_power, reps_level = _scaled_budgets(scale)
     cells = [c for c in table_cells("T1", seed=seed, scale=scale) if c.test == "T_tr"]
-    power = [c for c in cells if c.section != "level"]
     config = ExperimentConfig(
         test=TestKind.TTR, null="uniform", n=50, model_params=ModelParams(d_tr=6),
         alternatives=tuple(alt_id for _, alt_id, _ in _UNIFORMITY_ROWS),
         reps_power=reps_power, reps_level=reps_level, calib=(B, B), seed=seed,
     )
     report = estimate_power(config, build_missing=True)
-    assert [(e.power, e.std_error, e.reps) for e in report.entries] == [
-        (c.estimate, c.std_error, c.reps) for c in power
+    assert [(c.estimate, c.std_error, c.reps) for c in report.cells] == [
+        (c.estimate, c.std_error, c.reps) for c in cells
     ]
-    assert (report.level, report.level_std_error) == (cells[-1].estimate, cells[-1].std_error)
 
 
 @pytest.mark.parametrize("table_id", ["T1", "T2", "T3", "T4"])
@@ -595,6 +595,62 @@ def test_a_degree_past_the_cap_exits_2_within_a_second(case, tmp_path, capsys):
     assert cli_main(argv) == 2
     assert time.perf_counter() - start < 1.0
     assert f"degree must lie in 1..{_MAX_DEGREE}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("policy-coarse-points", f"coarse_points must lie in 3..{_MAX_DEGREE}"),
+        ("policy-refine-factor", f"refine_factor must lie in 1..{_MAX_DEGREE}"),
+        ("policy-refine-rounds", "refine_rounds must lie in 0..64"),
+        ("config-policy", f"refine_factor must lie in 1..{_MAX_DEGREE}"),
+        ("table-policy", f"refine_factor must lie in 1..{_MAX_DEGREE}"),
+        ("u-grid-size", f"u grid size must lie in 1..{_MAX_DEGREE}"),
+        ("config-br-d_of_n", f"series dimension must lie in 1..{_MAX_DEGREE}"),
+    ],
+)
+def test_a_search_size_past_its_cap_exits_2_within_a_second(case, message, tmp_path, capsys, tiny_table):
+    # each allocated an array of several GiB (exit 1) or ran 10^9 refinement
+    # rounds; every route now stops at the policy, calibration or baseline
+    huge_factor = dict(_POLICY, refine_factor=10**9)
+    files = {
+        "config-policy": {
+            "test": "composite", "null": "exponential", "n": 20,
+            "model_params": {"d_range": [2, 3], "policy": huge_factor},
+            "reps_power": 100, "reps_level": 100, "calib": [100, 100],
+        },
+        "table-policy": dict(
+            tiny_table.to_json(), statistic_kind="composite_invariant", policy=huge_factor,
+            models=[{"family": "piecewise", "degree": d} for d in (2, 3, 4)], null={"family": "exponential"},
+        ),
+        "config-br-d_of_n": {
+            "test": "br", "null": "uniform", "n": 50, "model_params": {"d_of_n": 10**9},
+            "reps_power": 100, "reps_level": 100, "calib": [1000, 1000],
+        },
+    }
+    path, data, out = tmp_path / "input.json", tmp_path / "data.txt", str(tmp_path / "table.json")
+    path.write_text(json.dumps(files.get(case, {})), encoding="utf-8")
+    data.write_text("\n".join(["0.41"] * 25), encoding="utf-8")
+    calibrate_args = [
+        "calibrate", "--null", "exponential", "--models", "piecewise:2-3", "--n", "20",
+        "--statistic", "composite", "--b1", "100", "--b2", "100", "--out", out,
+    ]
+    argv = {
+        "policy-coarse-points": [*calibrate_args, "--policy", "10,1000000000,1,8"],
+        "policy-refine-factor": [*calibrate_args, "--policy", "10,257,1,1000000000"],
+        "policy-refine-rounds": [*calibrate_args, "--policy", "10,257,1000000000,8"],
+        "config-policy": ["power", "--config", str(path), "--build-missing"],
+        "table-policy": ["test", "--calib", str(path), "--data", str(data)],
+        "u-grid-size": [
+            "calibrate", "--null", "uniform", "--models", "fourier:1-2", "--n", "20",
+            "--b1", "100", "--b2", "100", "--u-grid-size", "1000000000", "--out", out,
+        ],
+        "config-br-d_of_n": ["power", "--config", str(path), "--build-missing"],
+    }[case]
+    start = time.perf_counter()
+    assert cli_main(argv) == 2
+    assert time.perf_counter() - start < 1.0
+    assert message in capsys.readouterr().err
 
 
 def test_models_at_the_degree_cap_are_accepted():

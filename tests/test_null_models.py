@@ -1,11 +1,15 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy import integrate
 
+from adagof.adaptive_test import run_simple_test
 from adagof.baselines import ks_statistic
+from adagof.calibration import calibrate
 from adagof.errors import InvalidInputError
+from adagof.harness import scale_models
 from adagof.null_models import (
     Exponential,
     Gaussian,
@@ -90,6 +94,16 @@ class TestClosedForms:
         assert d.cdf(0.0) == pytest.approx(0.5, abs=1e-14)
         assert d.cdf(1.0) == pytest.approx(0.8413447460685429, abs=1e-12)
         assert d.cdf(-2.0) == pytest.approx(0.02275013194817921, abs=1e-12)
+
+    def test_gaussian_pdf_far_out_is_zero_without_a_warning(self):
+        # z * z overflowed there, a bare RuntimeWarning under -W error
+        x = np.array([1e200, -1e200, 0.0])
+        table = calibrate(Gaussian(), scale_models(1, 4), 20, B1=200, B2=200, seed=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = Gaussian().pdf(x)
+            run_simple_test(np.r_[x, np.linspace(-1.0, 1.0, 17)], Gaussian(), table)
+        np.testing.assert_array_equal(out, [0.0, 0.0, 1.0 / math.sqrt(2.0 * math.pi)])
 
 
 class TestSampling:
