@@ -14,7 +14,7 @@ from .adaptive_test import (
     run_composite_invariant_test,
     run_simple_test,
 )
-from .alternatives import AlternativeSpec, alt_l2_distance_sq, alt_pdf, alt_sample, from_id
+from .alternatives import AlternativeSpec, alt_l2_distance_sq, from_id
 from .baselines import (
     BaselineConfig,
     BaselineKind,

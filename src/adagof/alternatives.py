@@ -51,6 +51,7 @@ import numpy as np
 
 from .bases import legendre_polys
 from .errors import InvalidInputError, parse_fields
+from .estimators import _MAX_DEGREE
 from .null_models import _TINY, Exponential, NullDensity, Uniform01, check_sample_size, ndtri
 from .null_models import _unit_uniforms as _unit
 from .streams import LaneBlock, as_lanes
@@ -90,7 +91,7 @@ def _lanewise(draw):
     draws of a block, flat or as rows: a lane block gets every row, a
     generator its one row."""
 
-    def sampler(stream, n):
+    def sampler(n, stream):
         lanes = as_lanes(stream)
         out = draw(lanes, n).reshape(lanes.rows, n)
         return out if isinstance(stream, LaneBlock) else out[0]
@@ -132,25 +133,13 @@ def _fill(lanes, mask: np.ndarray, first, second) -> np.ndarray:
 class AlternativeSpec:
     id: str
     pdf: Callable[[np.ndarray], np.ndarray]
-    #: ``sampler(stream, n)``: n draws from a generator, or ``(rows, n)``
-    #: from a lane block
-    sampler: Callable[[object, int], np.ndarray]
+    #: ``sampler(n, stream)``, as ``NullDensity.sample``: n draws from a
+    #: generator, or ``(rows, n)`` from a lane block
+    sampler: Callable[[int, object], np.ndarray]
     support: tuple[float, float]
     params: dict = field(default_factory=dict)
     #: finite window holding all but < 1e-8 of the mass, for quadrature
     quad_window: tuple[float, float] = (0.0, 1.0)
-
-
-def alt_pdf(spec: AlternativeSpec, x) -> np.ndarray:
-    """Density of the alternative at ``x`` (zero off support)."""
-    return spec.pdf(np.asarray(x, dtype=float))
-
-
-def alt_sample(spec: AlternativeSpec, stream, n: int) -> np.ndarray:
-    """n exact i.i.d. draws from the alternative; from a lane block, n per
-    lane, one row each."""
-    check_sample_size(n)
-    return spec.sampler(stream, n)
 
 
 def alt_l2_distance_sq(spec: AlternativeSpec, d: NullDensity) -> float:
@@ -164,7 +153,7 @@ def alt_l2_distance_sq(spec: AlternativeSpec, d: NullDensity) -> float:
     hi = max(spec.quad_window[1], min(d.support[1], 60.0))
 
     def integrand(x):
-        return (spec.pdf(np.asarray(x)) - d.pdf(x)) ** 2
+        return (spec.pdf(x) - d.pdf(x)) ** 2
 
     value, err = integrate.quad(integrand, lo, hi, limit=400)
     if err > 1e-6:
@@ -185,8 +174,8 @@ def gamma_sample(stream, shape: float, n) -> np.ndarray:
     shape + 1 is scaled by U^(1/shape).  ``n`` draws, or on a lane block ``n``
     per lane (one count per lane allowed), lane after lane.
     """
-    if shape <= 0.0:
-        raise InvalidInputError(f"gamma shape must be positive, got {shape}")
+    if not 0.0 < shape < math.inf:
+        raise InvalidInputError(f"gamma shape must be positive and finite, got {shape}")
     lanes, want = _lanes(stream, n)
     if shape < 1.0:
         boost = _flat(_unit(lanes, want), want) ** (1.0 / shape)
@@ -332,8 +321,8 @@ def beta_mixture(p: float, q: float, eps: float) -> AlternativeSpec:
 
 def legendre_contamination(rho: float, j: int) -> AlternativeSpec:
     """``1 + rho phi_j(x)`` with the unit-norm shifted Legendre polynomial."""
-    if j < 1:
-        raise InvalidInputError("degree j must be >= 1")
+    if not 1 <= j <= _MAX_DEGREE:
+        raise InvalidInputError(f"degree j must lie in 1..{_MAX_DEGREE}, got {j}")
     amp = math.sqrt(2 * j + 1)
     if not 0.0 < rho * amp <= 1.0:
         raise InvalidInputError("rho * sqrt(2 j + 1) must lie in (0, 1] for a density")
@@ -358,7 +347,7 @@ def uniform_box(m: float) -> AlternativeSpec:
     def pdf(x):
         return np.where(np.abs(x) <= m, 1.0 / (2.0 * m), 0.0)
 
-    def sampler(stream, n):
+    def sampler(n, stream):
         return -m + 2.0 * m * stream.random(n)
 
     return _spec("norm:f", {"m": m}, pdf, sampler, (-m, m), (-m, m))
@@ -371,12 +360,11 @@ def gaussian_location_mixture(m: float, var: float) -> AlternativeSpec:
     sd = math.sqrt(var)
 
     def pdf(x):
-        x = np.asarray(x, dtype=float)
         a = np.exp(-((x - m) ** 2) / (2.0 * var))
         b = np.exp(-((x + m) ** 2) / (2.0 * var))
         return (a + b) / (2.0 * _SQRT_2PI * sd)
 
-    def sampler(stream, n):
+    def sampler(n, stream):
         centre = np.where(stream.random(n) < 0.5, m, -m)
         return centre + sd * ndtri(_unit(stream, n))
 
@@ -390,9 +378,9 @@ def double_exponential(p: float) -> AlternativeSpec:
         raise InvalidInputError("rate must be positive")
 
     def pdf(x):
-        return 0.5 * p * np.exp(-p * np.abs(np.asarray(x, dtype=float)))
+        return 0.5 * p * np.exp(-p * np.abs(x))
 
-    def sampler(stream, n):
+    def sampler(n, stream):
         u = _unit(stream, n)
         left = u < 0.5
         out = np.empty(u.shape)
@@ -457,13 +445,12 @@ def exp_gamma_mixture(p: float, q: float, eps: float) -> AlternativeSpec:
 
 def lognormal_alt() -> AlternativeSpec:
     def pdf(x):
-        x = np.asarray(x, dtype=float)
         inside = x > 0.0
         xv = np.where(inside, x, 1.0)
         vals = np.exp(-0.5 * np.log(xv) ** 2) / (xv * _SQRT_2PI)
         return np.where(inside, vals, 0.0)
 
-    def sampler(stream, n):
+    def sampler(n, stream):
         return np.exp(ndtri(_unit(stream, n)))
 
     return _spec("exp:t", {}, pdf, sampler, (0.0, math.inf), (0.0, 1200.0))
@@ -486,12 +473,11 @@ def weibull_alt() -> AlternativeSpec:
     """Weibull with shape 1.5: ``1.5 x^0.5 exp(-x^1.5)``."""
 
     def pdf(x):
-        x = np.asarray(x, dtype=float)
         inside = x > 0.0
         xv = np.where(inside, x, 1.0)
         return np.where(inside, 1.5 * np.sqrt(xv) * _EXP.pdf(xv**1.5), 0.0)
 
-    def sampler(stream, n):
+    def sampler(n, stream):
         return _EXP._quantile(_unit(stream, n)) ** (2.0 / 3.0)
 
     return _spec("exp:w", {}, pdf, sampler, (0.0, math.inf), (0.0, 20.0))
@@ -532,11 +518,17 @@ def _id_value(v, kind: type) -> str:
 
 def _spec(prefix, params, pdf, sampler, support, quad_window=(0.0, 1.0)) -> AlternativeSpec:
     """The catalog entry with id ``prefix:v1,...``, the parameters in the
-    order ``from_id`` parses them."""
+    order ``from_id`` parses them.  Every alternative's input contract runs
+    here: its pdf reads ``x`` as floats, and its sampler checks the size."""
     types = _CATALOG[prefix][1]
     values = ",".join(_id_value(v, t) for v, t in zip(params.values(), types))
     alt_id = f"{prefix}:{values}" if types else prefix
-    return AlternativeSpec(alt_id, pdf, sampler, support, params, quad_window)
+
+    def sample(n, stream):
+        check_sample_size(n)
+        return sampler(n, stream)
+
+    return AlternativeSpec(alt_id, lambda x: pdf(np.asarray(x, dtype=float)), sample, support, params, quad_window)
 
 
 def from_id(alt_id: str) -> AlternativeSpec:
@@ -546,4 +538,8 @@ def from_id(alt_id: str) -> AlternativeSpec:
     make, types = _CATALOG.get(prefix, (None, ()))
     if make is None or (colon and not types):
         raise InvalidInputError(f"unknown alternative id {alt_id!r}")
-    return make(*parse_fields(params, types, f"alternative {prefix!r}"))
+    values = parse_fields(params, types, f"alternative {prefix!r}")
+    # the densities compute in floats: a float parameter must be finite, an integer exact
+    if not all(abs(v) <= 2**53 if t is int else math.isfinite(v) for v, t in zip(values, types)):
+        raise InvalidInputError(f"alternative {prefix!r} takes finite numbers, integers to 2^53, got {params!r}")
+    return make(*values)

@@ -80,13 +80,16 @@ def sample_blocks(sample, n: int, seed: int, label: str, start: int, stop: int) 
     stream ``derive_stream(seed, label, start + i)``, bit for bit.
     ``sample`` is called once per block.  This is the package's only draw
     loop: null thresholds, baseline critical values and power replicates all
-    come through it, each scoring a block before it asks for the next.  The
+    come through it, each scoring a block before it asks for the next; a
+    non-finite draw raises :class:`InvalidInputError` naming the batch.  The
     lane block, with its buffer of drawn uniforms, is released before its
     rows are yielded, so it is not held while they are scored.
     """
     for block in lane_blocks(seed, label, start, stop):
         rows = sample(n, block)
         del block
+        if not np.isfinite(rows).all():
+            raise InvalidInputError(f"batch {label!r} drew a non-finite value")
         yield rows
 
 

@@ -295,11 +295,14 @@ def simple_stats_batch(samples: np.ndarray, models, d: NullDensity) -> np.ndarra
     """Matrix of ``t_hat`` values, one row per replicate, one column per model.
 
     Rows are sorted before summation, so each value is exactly invariant
-    under permutation of its sample.
+    under permutation of its sample.  A statistic past the float range raises.
     """
     x = np.sort(_checked_rows(samples), axis=1)
     upper = d.support[1] if math.isfinite(d.support[1]) else None
-    return _theta_batch(x, models, upper) + _plug_in(x, d)[:, None]
+    stats = _theta_batch(x, models, upper) + _plug_in(x, d)[:, None]
+    if not np.isfinite(stats).all():
+        raise InvalidInputError(f"a statistic under {d.name} is not finite: its density overflows floats")
+    return stats
 
 
 def _check_scale_search(models, d: NullDensity) -> None:

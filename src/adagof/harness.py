@@ -264,11 +264,7 @@ def _decision_chunk(null, alt_id, n, columns, seed, label, start, stop) -> np.nd
     """Rejection counts of each test column on replicates ``start .. stop - 1``,
     summed over the lane blocks of ``sample_blocks``, each scored by every
     column before the next is drawn."""
-    if alt_id is None:
-        sample = null.sample
-    else:
-        sampler = from_id(alt_id).sampler
-        sample = lambda size, stream: sampler(stream, size)  # noqa: E731
+    sample = null.sample if alt_id is None else from_id(alt_id).sampler
     counts = np.zeros(len(columns), dtype=np.int64)
     for samples in sample_blocks(sample, n, seed, label, start, stop):
         counts += _block_counts(null, samples, columns)

@@ -136,10 +136,7 @@ def _check_streams(rng: np.random.Generator, cases: int = 50) -> tuple[bool, str
 def _check_lane_samplers(n: int = 20) -> tuple[bool, str]:
     # a rejection id, a gamma mixture, a beta mixture and a Gaussian null, on
     # replicates 0.. and 2**32 - 2.. (one entropy word, then two)
-    samplers = {
-        alt_id: lambda size, stream, sampler=from_id(alt_id).sampler: sampler(stream, size)
-        for alt_id in ("h:0.3,5", "exp:l:2,5,0.5", "g:2,2,0.8")
-    }
+    samplers = {alt_id: from_id(alt_id).sampler for alt_id in ("h:0.3,5", "exp:l:2,5,0.5", "g:2,2,0.8")}
     samplers["gaussian"] = Gaussian().sample
     rows = mismatched = 0
     for name, sample in samplers.items():

@@ -1,10 +1,12 @@
+import contextlib
 import hashlib
 import math
+import signal
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
@@ -12,8 +14,6 @@ from adagof.alternatives import (
     _CATALOG,
     _rejection_unit_counted,
     alt_l2_distance_sq,
-    alt_pdf,
-    alt_sample,
     beta_mixture,
     beta_sample,
     chi2_three_alt,
@@ -31,9 +31,11 @@ from adagof.alternatives import (
     uniform_box,
     weibull_alt,
 )
+from adagof.baselines import BaselineConfig, BaselineKind
 from adagof.calibration import draw_samples
-from adagof.errors import InvalidInputError
-from adagof.null_models import Exponential, Uniform01, null_from_spec
+from adagof.errors import AdagofError, InvalidInputError
+from adagof.harness import TestColumn, TestKind, rejection_counts
+from adagof.null_models import Exponential, Gaussian, Uniform01, null_from_spec
 from adagof.streams import _BLOCK, LaneBlock, derive_stream, lane_blocks
 
 CATALOG_IDS = [
@@ -51,7 +53,7 @@ CATALOG_IDS = [
 def test_pdf_integrates_to_one(alt_id):
     spec = from_id(alt_id)
     lo, hi = spec.quad_window
-    mass, _ = integrate.quad(lambda x: float(alt_pdf(spec, x)), lo, hi, limit=400)
+    mass, _ = integrate.quad(lambda x: float(spec.pdf(x)), lo, hi, limit=400)
     assert mass == pytest.approx(1.0, abs=1e-6), alt_id
 
 
@@ -60,19 +62,19 @@ def test_pdf_nonnegative(alt_id):
     spec = from_id(alt_id)
     lo, hi = spec.quad_window
     xs = np.linspace(lo, hi, 20_001)
-    assert np.all(alt_pdf(spec, xs) >= -1e-12), alt_id
+    assert np.all(spec.pdf(xs) >= -1e-12), alt_id
 
 
 @pytest.mark.parametrize("alt_id", CATALOG_IDS)
 def test_sampler_consistent_with_pdf(alt_id):
     # one-sample KS of 20k draws against the numeric cdf, at the 0.1% level
     spec = from_id(alt_id)
-    draws = alt_sample(spec, derive_stream(60, f"cons:{alt_id}", 0), 20_000)
+    draws = spec.sampler(20_000, derive_stream(60, f"cons:{alt_id}", 0))
     lo, hi = spec.quad_window
     assert np.all(draws >= spec.support[0])
-    assert np.all(alt_pdf(spec, draws) > 0.0)
+    assert np.all(spec.pdf(draws) > 0.0)
     grid = np.linspace(lo, hi, 8001)
-    pdf_vals = alt_pdf(spec, grid)
+    pdf_vals = spec.pdf(grid)
     cdf_vals = np.concatenate(
         [[0.0], np.cumsum((pdf_vals[1:] + pdf_vals[:-1]) / 2.0 * np.diff(grid))]
     )
@@ -82,38 +84,38 @@ def test_sampler_consistent_with_pdf(alt_id):
 
 
 def test_hand_pdf_values():
-    assert alt_pdf(from_id("f:0.5,2"), 0.0) == pytest.approx(1.5)
+    assert from_id("f:0.5,2").pdf(0.0) == pytest.approx(1.5)
     # eps = 0 collapses the exponential-beta mixture to the unit exponential
     k0 = exp_beta_mixture(10, 20, 0.0)
     xs = np.linspace(0.0, 5.0, 50)
-    np.testing.assert_allclose(alt_pdf(k0, xs), Exponential().pdf(xs), atol=1e-14)
+    np.testing.assert_allclose(k0.pdf(xs), Exponential().pdf(xs), atol=1e-14)
     v = chi2_three_alt()
     expected = math.exp(-0.5) / (2.0**1.5 * math.gamma(1.5))
-    assert alt_pdf(v, 1.0) == pytest.approx(expected, rel=1e-12)
+    assert v.pdf(1.0) == pytest.approx(expected, rel=1e-12)
     assert expected == pytest.approx(0.2420, abs=5e-5)
 
 
 def test_zero_weight_beta_mixture_is_uniform():
     g0 = beta_mixture(3, 3, 0.0)
-    draws = alt_sample(g0, derive_stream(61, "g0", 0), 1000)
+    draws = g0.sampler(1000, derive_stream(61, "g0", 0))
     assert np.all((draws >= 0.0) & (draws < 1.0))
     xs = np.linspace(0.0, 1.0, 11)
-    np.testing.assert_allclose(alt_pdf(g0, xs), 1.0)
+    np.testing.assert_allclose(g0.pdf(xs), 1.0)
 
 
 def test_cosine_contamination_moment():
     # for even j the first moment of 1 + rho cos(j pi x) equals 1/2
     spec = from_id("f:0.7,4")
-    draws = alt_sample(spec, derive_stream(62, "mom", 0), 100_000)
+    draws = spec.sampler(100_000, derive_stream(62, "mom", 0))
     se = draws.std(ddof=1) / math.sqrt(draws.size)
     assert abs(draws.mean() - 0.5) < 4.0 * se
 
 
 def test_legendre_contamination_support_and_positivity():
     spec = from_id("h:0.3,5")
-    draws = alt_sample(spec, derive_stream(63, "sup", 0), 50_000)
+    draws = spec.sampler(50_000, derive_stream(63, "sup", 0))
     assert np.all((draws >= 0.0) & (draws <= 1.0))
-    assert np.all(alt_pdf(spec, draws) > 0.0)
+    assert np.all(spec.pdf(draws) > 0.0)
 
 
 def test_legendre_contamination_validation():
@@ -186,6 +188,12 @@ class TestGammaBetaPrimitives:
         with pytest.raises(InvalidInputError):
             gamma_sample(derive_stream(65, "bad", 0), -1.0, 10)
 
+    def test_gamma_shape_must_be_finite(self):
+        # Marsaglia-Tsang compares against inf - inf = NaN, so no proposal of
+        # an infinite shape was ever accepted
+        with pytest.raises(InvalidInputError, match="finite"):
+            gamma_sample(np.random.default_rng(0), math.inf, 5)
+
 
 def test_from_id_rejects_unknown():
     with pytest.raises(InvalidInputError):
@@ -229,7 +237,7 @@ def test_every_preset_row_resolves():
 @pytest.mark.parametrize("n", [2.5, True, 0, -3])
 def test_alt_sample_size_must_be_a_positive_integer(n):
     with pytest.raises(InvalidInputError, match="sample size"):
-        alt_sample(from_id("f:0.5,2"), derive_stream(67, "size", 0), n)
+        from_id("f:0.5,2").sampler(n, derive_stream(67, "size", 0))
 
 
 # ---------------------------------------------------------------------------
@@ -284,8 +292,7 @@ def _draw_function(key):
     """``sample(n, stream)`` of a null spec or an alternative id."""
     if key in ("uniform", "exponential") or key.startswith("gaussian"):
         return null_from_spec(key).sample
-    sampler = from_id(key).sampler
-    return lambda size, stream: sampler(stream, size)
+    return from_id(key).sampler
 
 
 def test_golden_ids_cover_every_preset_row_and_null():
@@ -464,6 +471,66 @@ def test_id_resolves_to_the_same_parameters(case):
 )
 def test_pdf_at_support_edges(alt_id, at_zero, at_one):
     spec = from_id(alt_id)
-    assert float(alt_pdf(spec, 0.0)) == at_zero
-    assert float(alt_pdf(spec, 1.0)) == at_one
-    np.testing.assert_array_equal(alt_pdf(spec, np.array([0.0, 1.0])), [at_zero, at_one])
+    assert float(spec.pdf(0.0)) == at_zero
+    assert float(spec.pdf(1.0)) == at_one
+    np.testing.assert_array_equal(spec.pdf(np.array([0.0, 1.0])), [at_zero, at_one])
+
+
+# ---------------------------------------------------------------------------
+# Generated alternative ids: each is refused or sampled, in bounded time
+# ---------------------------------------------------------------------------
+
+_ANY_FLOAT = st.one_of(
+    st.sampled_from([math.inf, -math.inf, math.nan, 0.0, -0.0, 5e-324, 1e-310, 1e308, -1e308]),
+    st.floats(min_value=-1e3, max_value=1e3),
+)
+_ANY_INT = st.one_of(st.sampled_from([0, -1, 1, 2, 7, 2**16 + 1]), st.integers(-(10**18), 10**18))
+
+
+@st.composite
+def _alternative_ids(draw):
+    prefix = draw(st.sampled_from(sorted(_CATALOG)))
+    values = [repr(draw(_ANY_FLOAT)) if t is float else str(draw(_ANY_INT)) for t in _CATALOG[prefix][1]]
+    return f"{prefix}:{','.join(values)}" if values else prefix
+
+
+@contextlib.contextmanager
+def _time_limit(seconds):
+    """Raise TimeoutError in the body once ``seconds`` of wall time pass, so a
+    sampler that never finishes fails the example instead of hanging."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"not done within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+_KS_COLUMN = TestColumn("T_KS", TestKind.KS, baseline=BaselineConfig(BaselineKind.KS, 0.05, 1.0, 20))
+
+
+# the fixed examples each hung (an infinite gamma shape, a Legendre degree of
+# 10^8) or reported a power of 1.000 from infinite draws; the last draws NaN
+# when both boosted gamma draws of a beta underflow, and is refused
+@example("exp:l:inf,1,0.5")
+@example("h:1e-9,100000000")
+@example("norm:f:1e308")
+@example("norm:h:1e-320")
+@example("g:0.001,0.001,0.5")
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_alternative_ids())
+def test_an_alternative_id_is_refused_or_sampled_within_five_seconds(alt_id):
+    with _time_limit(5.0), warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # an overflow on the way to a refusal
+        try:
+            counts = rejection_counts(Gaussian(), alt_id, 20, 4, [_KS_COLUMN], 0, "prop")
+            draws = from_id(alt_id).sampler(20, derive_stream(0, "prop", 0))
+        except AdagofError:
+            return
+    assert counts.shape == (1,) and 0 <= counts[0] <= 4
+    assert np.all(np.isfinite(draws))

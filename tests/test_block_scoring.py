@@ -31,10 +31,7 @@ def test_the_range_spans_three_ragged_lane_blocks():
 
 
 def _sample(null, alt_id):
-    if alt_id is None:
-        return null.sample
-    sampler = from_id(alt_id).sampler
-    return lambda size, stream: sampler(stream, size)
+    return null.sample if alt_id is None else from_id(alt_id).sampler
 
 
 @pytest.mark.parametrize(

@@ -459,6 +459,16 @@ def test_single_row_calls_equal_the_batch():
         assert row.tobytes() == simple_stats_batch(sample[None], models, Uniform01())[0].tobytes()
 
 
+def test_a_statistic_past_the_float_range_raises():
+    # under sd 1e-306 each null density value is near 4e305, so the plug-in
+    # sum over 2,000 null draws overflows; the statistic read -inf and the
+    # calibration stopped on a bare AssertionError
+    d = Gaussian(0.0, 1e-306)
+    x = d.sample(2000, derive_stream(1, "overflow", 0))[None]
+    with np.errstate(over="ignore"), pytest.raises(InvalidInputError, match="not finite"):
+        simple_stats_batch(x, [ModelIndex(PW, 2)], d)
+
+
 @pytest.mark.parametrize("bad", [np.nextafter(1.0, 2.0), -1e-300])
 def test_fourier_domain_checked_on_every_row(bad):
     models = [ModelIndex(FOURIER, degree) for degree in range(1, 13)]

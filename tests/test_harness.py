@@ -653,6 +653,55 @@ def test_a_search_size_past_its_cap_exits_2_within_a_second(case, message, tmp_p
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "alt_id, message",
+    [
+        ("exp:l:inf,1,0.5", "takes finite numbers"),
+        ("h:1e-9,100000000", f"degree j must lie in 1..{_MAX_DEGREE}"),
+    ],
+)
+def test_an_alternative_that_never_finishes_sampling_exits_2_within_a_second(alt_id, message, tmp_path, capsys):
+    # each calibrated, then sampled its row without end: Marsaglia-Tsang
+    # accepts no proposal of an infinite shape, and the Legendre bump ran its
+    # recurrence 10^8 times on every rejection pass
+    config = {
+        "test": "ks", "null": "exponential", "n": 50, "alternatives": [alt_id],
+        "reps_power": 100, "reps_level": 100, "calib": [1000, 1000],
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    start = time.perf_counter()
+    assert cli_main(["power", "--config", str(path), "--build-missing"]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert message in capsys.readouterr().err
+
+
+def test_a_power_row_whose_draws_overflow_exits_2(tmp_path, capsys):
+    # every norm:f:1e308 draw is inf (2 m overflows) and norm:h:1e-320 draws
+    # +-inf; the KS column read ndtr(+-inf) and reported a power of 1.000
+    config = {
+        "test": "ks", "null": "gaussian:0,1", "n": 50, "alternatives": ["norm:f:1e308", "norm:h:1e-320"],
+        "reps_power": 100, "reps_level": 100, "calib": [1000, 1000], "seed": 1,
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    assert cli_main(["power", "--config", str(path), "--build-missing"]) == 2
+    assert "batch 'power:norm:f:1e308' drew a non-finite value" in capsys.readouterr().err
+
+
+def test_a_gaussian_null_whose_density_overflows_exits_2_within_a_second(tmp_path, capsys):
+    # at sd 1e-320 the null's L2 norm and pdf are inf, so every statistic was
+    # NaN and the calibration stopped on a bare AssertionError (exit 1)
+    argv = [
+        "calibrate", "--null", "gaussian:0,1e-320", "--models", "piecewise:1-3", "--n", "30",
+        "--b1", "100", "--b2", "100", "--out", str(tmp_path / "table.json"),
+    ]
+    start = time.perf_counter()
+    assert cli_main(argv) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "is not finite" in capsys.readouterr().err
+
+
 def test_models_at_the_degree_cap_are_accepted():
     models = parse_models(f"piecewise:{_MAX_DEGREE},fourier:{_MAX_DEGREE}")
     assert [m.degree for m in models] == [_MAX_DEGREE, _MAX_DEGREE]

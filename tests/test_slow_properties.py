@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from adagof.alternatives import alt_pdf, alt_sample, from_id
+from adagof.alternatives import from_id
 from adagof.bases import BasisFamily
 from adagof.calibration import calibrate
 from adagof.estimators import ModelIndex
@@ -33,14 +33,14 @@ def test_sampler_consistency_hundred_seeds(alt_id):
     spec = from_id(alt_id)
     lo, hi = spec.quad_window
     grid = np.linspace(lo, hi, 16001)
-    pdf_vals = alt_pdf(spec, grid)
+    pdf_vals = spec.pdf(grid)
     cdf_vals = np.concatenate(
         [[0.0], np.cumsum((pdf_vals[1:] + pdf_vals[:-1]) / 2.0 * np.diff(grid))]
     )
     crit = stats.kstwo.ppf(0.99, 100_000)
     failures = 0
     for trial in range(100):
-        draws = alt_sample(spec, derive_stream(77, f"slow:{alt_id}", trial), 100_000)
+        draws = spec.sampler(100_000, derive_stream(77, f"slow:{alt_id}", trial))
         u = np.interp(np.clip(draws, lo, hi), grid, cdf_vals)
         d = stats.kstest(u, "uniform").statistic
         if d > crit + 1e-3:  # 1e-3 absorbs the numeric-cdf quadrature bias

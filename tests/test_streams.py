@@ -122,10 +122,5 @@ def test_draw_samples_null_rows(null):
 
 @pytest.mark.parametrize("alt_id", ["f:0.5,2", "exp:g:4"])
 def test_draw_samples_alternative_rows(alt_id):
-    sampler = from_id(alt_id).sampler
-
-    def sample(size, stream):
-        return sampler(stream, size)
-
-    args = (sample, 40, 12, f"power:{alt_id}", 0, 60)
+    args = (from_id(alt_id).sampler, 40, 12, f"power:{alt_id}", 0, 60)
     np.testing.assert_array_equal(draw_samples(*args), _reference_samples(*args))
