@@ -376,6 +376,10 @@ def double_exponential(p: float) -> AlternativeSpec:
     """Density ``(p/2) exp(-p |x|)``."""
     if not p > 0.0:
         raise InvalidInputError("rate must be positive")
+    # below about 2.2e-307 the window, and the sampler's log(2 u) / p, overflow
+    w = 40.0 / p
+    if not math.isfinite(w):
+        raise InvalidInputError(f"rate {p!r} is too small: its window 40/p is not finite")
 
     def pdf(x):
         return 0.5 * p * np.exp(-p * np.abs(x))
@@ -388,7 +392,6 @@ def double_exponential(p: float) -> AlternativeSpec:
         out[~left] = -np.log(2.0 * (1.0 - u[~left])) / p
         return out
 
-    w = 40.0 / p
     return _spec("norm:h", {"p": p}, pdf, sampler, (-math.inf, math.inf), (-w, w))
 
 

@@ -125,6 +125,8 @@ class ScaleSearchPolicy:
     degree, then each round's candidates of every (row, degree) pair.  Its
     memory is fixed: at most about ``_BLOCK_ELEMENTS`` scaled observations,
     or one row's ``n * max(coarse_points, degrees * (2 * refine_factor + 1))``.
+    A search whose one row would stack more than ``_MAX_SEARCH_ELEMENTS``
+    (2**24) is refused before it allocates.
     """
 
     relative_span: float = 10.0
@@ -200,6 +202,12 @@ def scale_free_ratios(x: np.ndarray) -> np.ndarray:
 #: this, glibc returns each block's freed temporaries to the OS and the next
 #: block faults them back in (a 300 x 100 search ran ~35% slower, x86-64).
 _BLOCK_ELEMENTS = 1 << 15
+
+#: Scaled observations one row of the composite scale search may stack: its
+#: coarse grid or one refinement round at every degree.  Each float64
+#: temporary of that size is 128 MiB; the default policy stays within it up
+#: to n = 65,280.
+_MAX_SEARCH_ELEMENTS = 1 << 24
 
 
 def _checked_rows(samples, min_n: int = 2) -> np.ndarray:
@@ -326,6 +334,12 @@ def _scale_search(
     """
     _check_scale_search(models, d)
     x = _checked_rows(samples)
+    refined = len(models) * (2 * policy.refine_factor + 1) if policy.refine_rounds else 0
+    if (stack := x.shape[1] * max(policy.coarse_points, refined)) > _MAX_SEARCH_ELEMENTS:
+        raise InvalidInputError(
+            f"the scale search would stack {stack} scaled observations per row, above its bound of"
+            f" {_MAX_SEARCH_ELEMENTS}: use fewer coarse points, a smaller refine_factor or fewer models"
+        )
     if np.any(x <= 0.0):
         raise SupportViolationError("all observations must be positive for this null family")
     y = np.sort(scale_free_ratios(x), axis=1)

@@ -210,6 +210,9 @@ class Gaussian(NullDensity):
     def __post_init__(self) -> None:
         if not (math.isfinite(self.mean) and 0.0 < self.sd < math.inf):
             raise InvalidInputError(f"gaussian needs a finite mean and a finite sd > 0, got {self}")
+        # below about 1.6e-309 the L2 norm overflows, and each statistic with it
+        if not math.isfinite(self.l2_norm_sq):
+            raise InvalidInputError(f"gaussian sd {self.sd!r} is too small: its L2 norm is not finite")
 
     @property
     def l2_norm_sq(self) -> float:

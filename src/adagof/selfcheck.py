@@ -23,7 +23,7 @@ from .estimators import ModelIndex, _theta_batch, theta_hat, theta_hat_naive
 from .alternatives import from_id
 from .calibration import draw_samples
 from .null_models import Gaussian, Uniform01
-from .streams import derive_stream, lane_blocks
+from .streams import _reseeder, derive_stream, lane_blocks
 
 
 def _check_theta_pairsum(rng: np.random.Generator, cases: int = 200) -> tuple[bool, str]:
@@ -130,7 +130,8 @@ def _check_streams(rng: np.random.Generator, cases: int = 50) -> tuple[bool, str
             rows += 1
             if not np.array_equal(row, derive_stream(seed, label, r).random(16)):
                 mismatched += 1
-    return mismatched == 0, f"lane block streams vs derive_stream: {mismatched} of {rows} rows differ"
+    route = _reseeder().route
+    return mismatched == 0, f"lane block streams ({route}) vs derive_stream: {mismatched} of {rows} rows differ"
 
 
 def _check_lane_samplers(n: int = 20) -> tuple[bool, str]:

@@ -11,11 +11,27 @@ at most ``_BLOCK`` replicates, one lane each.  The entropy words of ``(seed,
 label)`` come first and are shared by every replicate, so ``SeedSequence``'s
 mixing of them runs once, and only the replicate word's mixing and
 ``generate_state`` run per replicate, as uint32 passes across a block of
-replicates.  PCG64's seeding then sets each lane's state on one reused
-generator, so numpy itself still makes every draw.  This relies on numpy's
-``SeedSequence`` and ``PCG64`` seeding algorithms, stable since numpy 1.17
-(NEP 19); ``tests/test_streams.py`` and ``adagof selfcheck`` compare the two
-routes.
+replicates.  PCG64's seeding (``srandom``) then runs as uint64 passes, each
+128-bit sum and product as a high and a low word, and gives each lane four
+words: its state's high and low word, then its increment's.
+
+numpy itself still makes every draw, on one reused PCG64 per thread.  A lane
+is reseeded by copying its four words into that generator's ``{state, inc}``
+struct in place.  That struct is what the first field of the struct at the
+public ``BitGenerator.ctypes.state_address`` points at (``pcg64_state`` in
+numpy/random/src/pcg64/pcg64.h); its word order is low word first for a
+native little-endian ``__uint128_t`` and high word first for numpy's
+emulated 128-bit type.  A probe reads the order off once per generator: it
+sets a known state through the ``state`` setter and reads the struct back.
+If it does not read back the known words in some order, every lane is
+reseeded through the ``state`` setter instead, at about 2.5 times the cost
+per lane.  Either route leaves ``has_uint32`` at the 0 the setter wrote, and a
+lane block draws only doubles, which never set it.  ``adagof selfcheck``
+names the route it ran.
+
+This relies on numpy's ``SeedSequence`` and ``PCG64`` seeding algorithms,
+stable since numpy 1.17 (NEP 19); ``tests/test_streams.py`` and ``adagof
+selfcheck`` compare the lane blocks with ``derive_stream``.
 
 A sampler draws from a lane block as from a generator, except that
 ``random`` takes one count per lane and returns one row per lane: each pass
@@ -26,18 +42,19 @@ and each lane consumes exactly the uniforms its own generator would.
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
+import threading
 from collections.abc import Iterator
-from itertools import islice
 
 import numpy as np
 
 _MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
-_MASK128 = (1 << 128) - 1
 
 # SeedSequence's hash constants (numpy/random/bit_generator.pyx) and PCG64's
-# 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h).
+# 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h), as its high and low
+# words.
 _INIT_A = 0x43B0D7E5
 _MULT_A = 0x931E8875
 _INIT_B = 0x8B51F9DD
@@ -45,9 +62,11 @@ _MULT_B = 0x58F38DED
 _MIX_MULT_L = 0xCA01F9DD
 _MIX_MULT_R = 0x4973F715
 _POOL_SIZE = 4
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_PCG64_MULT = (np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645))
+_U1, _U32, _U63 = np.uint64(1), np.uint64(32), np.uint64(63)
+_LOW32 = np.uint64(_MASK32)
 
-_BLOCK = 512  # replicates whose states one set of uint32 passes derives, and
+_BLOCK = 512  # replicates whose words one set of passes derives, and
 # the lanes of one lane block
 _GROWTH = 5  # uniforms a multi-pass sampler reserves per observation, and a
 # grown lane's prefix over its last: every catalog sampler takes 1 to 5
@@ -126,9 +145,31 @@ def _pool(prefix: list[int]) -> tuple[list[int], int]:
     return pool, hash_const
 
 
-def _replicate_states(prefix: list[int], start: int, stop: int) -> Iterator[tuple[int, int]]:
-    """PCG64 ``(state, inc)`` seeded by ``SeedSequence([*prefix, r & _MASK64])``
-    for ``r`` in ``range(start, stop)``, in order, derived a block at a time."""
+def _add128(a, b):
+    """``a + b`` mod 2**128, for (high, low) pairs of uint64 words."""
+    low = a[1] + b[1]
+    return a[0] + b[0] + (low < b[1]), low
+
+
+def _mulhi(a, b):
+    """The high words of the 128-bit products ``a * b`` of uint64 words, from
+    their 32-bit limbs."""
+    a0, a1, b0, b1 = a & _LOW32, a >> _U32, b & _LOW32, b >> _U32
+    cross_a, cross_b = a0 * b1, a1 * b0
+    mid = (a0 * b0 >> _U32) + (cross_a & _LOW32) + (cross_b & _LOW32)
+    return a1 * b1 + (cross_a >> _U32) + (cross_b >> _U32) + (mid >> _U32)
+
+
+def _mul128(a, b):
+    """``a * b`` mod 2**128, for (high, low) pairs of uint64 words."""
+    return _mulhi(a[1], b[1]) + a[1] * b[0] + a[0] * b[1], a[1] * b[1]
+
+
+def _replicate_words(prefix: list[int], start: int, stop: int) -> Iterator[np.ndarray]:
+    """The PCG64 seeded by ``SeedSequence([*prefix, r & _MASK64])`` for ``r``
+    in ``range(start, stop)``, in order, as one ``(lanes, 4)`` uint64 array
+    per block of at most ``_BLOCK`` replicates: row ``i`` holds the high and
+    low word of lane ``i``'s state, then of its increment."""
     shared, shared_const = _pool(prefix)
     for first in range(start, stop, _BLOCK):
         lanes = np.uint64(first & _MASK64) + np.arange(min(_BLOCK, stop - first), dtype=np.uint64)
@@ -146,23 +187,91 @@ def _replicate_states(prefix: list[int], start: int, stop: int) -> Iterator[tupl
                 pool[dst][wide] = _mix(pool[dst][wide], h)
         # generate_state(4, np.uint64): eight uint32 words cycling over the
         # pool, read as little-endian uint64 pairs
-        state, hash_const = [], _INIT_B
+        generated, hash_const = [], _INIT_B
         for i in range(8):
             h, hash_const = _hash(pool[i % _POOL_SIZE], hash_const, _MULT_B)
-            state.append(h.astype(np.uint64))
-        seed_hi, seed_lo, seq_hi, seq_lo = (
-            (state[2 * k] | state[2 * k + 1] << np.uint64(32)).tolist() for k in range(4)
-        )
+            generated.append(h.astype(np.uint64))
+        seed_hi, seed_lo, seq_hi, seq_lo = (generated[2 * k] | generated[2 * k + 1] << _U32 for k in range(4))
         # PCG64's srandom: inc = 2 * initseq + 1, then two LCG steps with
         # initstate added in between, starting from state 0
-        for a, b, c, d in zip(seed_hi, seed_lo, seq_hi, seq_lo):
-            inc = ((c << 64 | d) << 1 | 1) & _MASK128
-            yield ((inc + (a << 64 | b)) * _PCG64_MULT + inc) & _MASK128, inc
+        inc = (seq_hi << _U1 | seq_lo >> _U63, seq_lo << _U1 | _U1)
+        state = _add128(_mul128(_add128(inc, (seed_hi, seed_lo)), _PCG64_MULT), inc)
+        yield np.stack([*state, *inc], axis=1)
+
+
+# A PCG64 state and increment whose four words differ, as (high, low) pairs.
+_PROBE_WORDS = (0x0123456789ABCDEF, 0x1032547698BADCFE, 0xF0E1D2C3B4A59687, 0x8899AABBCCDDEEFF)
+
+
+def _pcg64_value(words) -> dict:
+    """The ``state`` setter's value for one lane's four words."""
+    s_hi, s_lo, i_hi, i_lo = words
+    state = {"state": s_hi << 64 | s_lo, "inc": i_hi << 64 | i_lo}
+    return {"bit_generator": "PCG64", "state": state, "has_uint32": 0, "uinteger": 0}
+
+
+def _state_slots(bit_generator: np.random.PCG64):
+    """The four uint64 words of ``bit_generator``'s ``{state, inc}`` struct, as
+    a ctypes array over them: the first field of its ``pcg64_state`` points
+    at that struct."""
+    struct = ctypes.c_void_p.from_address(bit_generator.ctypes.state_address)
+    return (ctypes.c_uint64 * 4).from_address(struct.value)
+
+
+class _Reseeder:
+    """One reused PCG64, the generator that draws from it, and the route that
+    reseeds it for each lane.
+
+    ``order[j]`` is the word of a lane's row that the generator's state slot
+    ``j`` holds, read off by the probe; None when the probe did not read back
+    its words, and every lane goes through the ``state`` setter.  The slots
+    are a view into the generator, which this object keeps alive.
+    """
+
+    def __init__(self) -> None:
+        self.bit_generator = np.random.PCG64(0)
+        self.generator = np.random.Generator(self.bit_generator)
+        self.bit_generator.state = _pcg64_value(_PROBE_WORDS)
+        self._slots = _state_slots(self.bit_generator)
+        seen = list(self._slots)
+        self.order = [_PROBE_WORDS.index(w) for w in seen] if sorted(seen) == sorted(_PROBE_WORDS) else None
+
+    @property
+    def route(self) -> str:
+        return "state setter" if self.order is None else "words written in place"
+
+    def fill(self, words: np.ndarray, outs: list[np.ndarray]) -> None:
+        """Fill ``outs[i]`` with the first uniforms of the stream whose words
+        are ``words[i]``."""
+        if self.order is None:
+            for row, out in zip(words.tolist(), outs):
+                self.bit_generator.state = _pcg64_value(row)
+                self.generator.random(out=out)
+            return
+        slots = self._slots
+        for row, out in zip(words[:, self.order].tolist(), outs):
+            slots[:] = row
+            self.generator.random(out=out)
+
+
+_local = threading.local()
+
+
+def _reseeder() -> _Reseeder:
+    """This thread's ``_Reseeder``, built on first use: building one costs
+    about 0.1 ms, and two threads must not reseed one generator.  A forked
+    worker inherits a valid copy of its parent's."""
+    try:
+        return _local.reseeder
+    except AttributeError:
+        _local.reseeder = _Reseeder()
+        return _local.reseeder
 
 
 class LaneBlock:
     """The uniform streams of a block of replicates, one lane each: lane ``i``
-    draws what the generator of its ``(state, inc)`` PCG64 seed would.
+    draws what the PCG64 of row ``i`` of ``words`` (a state's high and low
+    word, then its increment's) would.
 
     Each lane keeps a drawn prefix of its stream and a cursor into it.  A lane
     asked for more than its prefix holds is drawn again from the start of its
@@ -170,11 +279,9 @@ class LaneBlock:
     sampler reserved.
     """
 
-    def __init__(self, states: list[tuple[int, int]]) -> None:
-        self.rows = len(states)
-        self._states = states
-        self._bit_generator = np.random.PCG64(0)
-        self._generator = np.random.Generator(self._bit_generator)
+    def __init__(self, words: np.ndarray) -> None:
+        self.rows = len(words)
+        self._words = words
         # lane i's prefix is _buffer[_offset[i] : _offset[i] + _drawn[i]]
         self._buffer = np.empty(0)
         self._offset = np.zeros(self.rows, dtype=np.intp)
@@ -223,12 +330,8 @@ class LaneBlock:
         offset = self._buffer.size + np.cumsum(size) - size
         buffer = np.empty(self._buffer.size + int(size.sum()))
         buffer[: self._buffer.size] = self._buffer
-        value = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}
-        for lane, start, length in zip(lanes.tolist(), offset.tolist(), size.tolist()):
-            state, inc = self._states[lane]
-            value["state"] = {"state": state, "inc": inc}
-            self._bit_generator.state = value
-            self._generator.random(out=buffer[start : start + length])
+        outs = [buffer[start : start + length] for start, length in zip(offset.tolist(), size.tolist())]
+        _reseeder().fill(self._words[lanes], outs)
         self._buffer = buffer
         self._offset[lanes] = offset
         self._drawn[lanes] = size
@@ -260,6 +363,5 @@ def lane_blocks(seed: int, label: str, start: int, stop: int) -> Iterator[LaneBl
     stop)`` in order; lane ``i`` of a block starting at replicate ``first``
     draws the uniforms of ``derive_stream(seed, label, first + i)``, bit for
     bit."""
-    states = _replicate_states(_entropy_prefix(seed, label), start, stop)
-    while block := list(islice(states, _BLOCK)):
-        yield LaneBlock(block)
+    for words in _replicate_words(_entropy_prefix(seed, label), start, stop):
+        yield LaneBlock(words)

@@ -428,7 +428,8 @@ _VALID_PARAMS = {
     "h": st.integers(1, 10**4).flatmap(_legendre_params),
     "norm:f": st.tuples(_POSITIVE),
     "norm:g": st.tuples(st.floats(min_value=-1e6, max_value=1e6), _POSITIVE),
-    "norm:h": st.tuples(_POSITIVE),
+    # a rate below about 2.2e-307 is refused: its window 40/p overflows
+    "norm:h": st.tuples(st.floats(min_value=1e-306, max_value=1e6)),
     "exp:g": st.tuples(st.integers(1, 10**6).map(lambda k: 2 * k)),
     "exp:h": st.tuples(st.integers(1, 10**6)),
     "exp:k": st.tuples(_POSITIVE, _POSITIVE, _WEIGHT),
@@ -512,6 +513,16 @@ def _time_limit(seconds):
 
 
 _KS_COLUMN = TestColumn("T_KS", TestKind.KS, baseline=BaselineConfig(BaselineKind.KS, 0.05, 1.0, 20))
+
+
+@pytest.mark.parametrize("rate", ["1e-310", "1e-320"])
+def test_a_norm_h_rate_whose_window_overflows_is_refused_before_any_warning(rate):
+    # the sampler's log(2 u) / p warned "overflow encountered in divide"
+    # before the draws were refused
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(InvalidInputError, match="window 40/p is not finite"):
+            from_id(f"norm:h:{rate}")
 
 
 # the fixed examples each hung (an infinite gamma shape, a Legendre degree of

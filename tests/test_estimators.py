@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -237,6 +239,24 @@ class TestScaleSearch:
             )
         for d in (Uniform01(), Exponential()):
             assert composite_scale_stats_batch(x / 10.0, models, d, ScaleSearchPolicy()).shape == (1, 3)
+
+    def test_a_search_past_the_stack_bound_is_refused_before_it_allocates(self):
+        # one row of this policy's refinement is a (9, 131073, 100) stack of
+        # 900 MiB, which exited 1 with _ArrayMemoryError; refine_rounds=0
+        # never builds it and runs
+        models = [ModelIndex(PW, D) for D in range(2, 11)]
+        x = np.linspace(0.01, 3.0, 100)[None, :]
+        policy = ScaleSearchPolicy(10.0, 257, 1, 65536)
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidInputError, match="above its bound"):
+                composite_scale_stats_batch(x, models, Exponential(), policy)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        coarse = dataclasses.replace(policy, refine_rounds=0)
+        assert composite_scale_stats_batch(x, models, Exponential(), coarse).shape == (1, 9)
 
     def test_batch_matches_single_path(self, exp_sample):
         d = Exponential()

@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -677,10 +678,10 @@ def test_an_alternative_that_never_finishes_sampling_exits_2_within_a_second(alt
 
 
 def test_a_power_row_whose_draws_overflow_exits_2(tmp_path, capsys):
-    # every norm:f:1e308 draw is inf (2 m overflows) and norm:h:1e-320 draws
-    # +-inf; the KS column read ndtr(+-inf) and reported a power of 1.000
+    # every norm:f:1e308 draw is inf (2 m overflows); the KS column read
+    # ndtr(+-inf) and reported a power of 1.000
     config = {
-        "test": "ks", "null": "gaussian:0,1", "n": 50, "alternatives": ["norm:f:1e308", "norm:h:1e-320"],
+        "test": "ks", "null": "gaussian:0,1", "n": 50, "alternatives": ["norm:f:1e308"],
         "reps_power": 100, "reps_level": 100, "calib": [1000, 1000], "seed": 1,
     }
     path = tmp_path / "config.json"
@@ -700,6 +701,30 @@ def test_a_gaussian_null_whose_density_overflows_exits_2_within_a_second(tmp_pat
     assert cli_main(argv) == 2
     assert time.perf_counter() - start < 1.0
     assert "is not finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ["gaussian:0,1e-320 null", "norm:h:1e-310 alternative"])
+def test_a_refusal_is_not_preceded_by_a_runtime_warning(case, tmp_path):
+    # the null warned "invalid value encountered in subtract" in the plug-in
+    # term, and the alternative "overflow encountered in divide" in its
+    # sampler, before their refusals: under -W error::RuntimeWarning each
+    # exited 1 with a traceback
+    if case.endswith("null"):
+        argv = [
+            "calibrate", "--null", "gaussian:0,1e-320", "--models", "piecewise:1-3", "--n", "30",
+            "--b1", "100", "--b2", "100", "--out", str(tmp_path / "table.json"),
+        ]
+    else:
+        config = {
+            "test": "ks", "null": "gaussian:0,1", "n": 50, "alternatives": ["norm:h:1e-310"],
+            "reps_power": 100, "reps_level": 100, "calib": [1000, 1000], "seed": 1,
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        argv = ["power", "--config", str(path), "--build-missing"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli_main(argv) == 2
 
 
 def test_models_at_the_degree_cap_are_accepted():

@@ -255,3 +255,13 @@ def test_gaussian_needs_a_finite_mean_and_a_finite_positive_sd(spec):
     mean, sd = (float(v) for v in spec.split(":")[1].split(","))
     with pytest.raises(InvalidInputError, match="finite mean"):
         null_from_json({"family": "gaussian", "mean": mean, "sd": sd})
+
+
+@pytest.mark.parametrize("sd", [1e-310, 1e-320])
+def test_a_gaussian_sd_whose_l2_norm_overflows_is_refused_before_any_warning(sd):
+    # at 1e-320 the plug-in term warned "invalid value encountered in
+    # subtract" before the statistic was refused
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(InvalidInputError, match="L2 norm is not finite"):
+            null_from_spec(f"gaussian:0,{sd}")

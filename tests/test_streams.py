@@ -5,13 +5,18 @@
 seeding; these tests fail if a numpy release changes either algorithm.
 """
 
+import ctypes
+import threading
+
 import numpy as np
 import pytest
 
+from adagof import streams
 from adagof.alternatives import from_id
 from adagof.calibration import draw_samples
 from adagof.null_models import Exponential, Uniform01
-from adagof.streams import _BLOCK, _MASK64, LaneBlock, _replicate_states, derive_stream, lane_blocks
+from adagof.selfcheck import _check_streams
+from adagof.streams import _BLOCK, _MASK64, LaneBlock, _replicate_words, derive_stream, lane_blocks
 
 K = 7
 
@@ -58,6 +63,26 @@ def test_empty_range():
     assert _bulk_rows(3, "x", 5, 2) == []
 
 
+def _seed_words(prefix, r):
+    """The ``(initstate, initseq)`` numpy's PCG64 seeding reads from
+    ``SeedSequence([*prefix, r])``."""
+    w = np.random.SeedSequence([*prefix, r & _MASK64]).generate_state(4, np.uint64).tolist()
+    return w[0] << 64 | w[1], w[2] << 64 | w[3]
+
+
+# replicate 0 of each: inc + initstate carries past 2**64 only, past 2**128
+# only, past both
+_CARRY_PREFIXES = {"carry64": [1, 1, 2, 3, 4], "carry128": [7, 1, 2, 3, 4], "carry64+128": [3, 1, 2, 3, 4]}
+
+
+@pytest.mark.parametrize("name, prefix", _CARRY_PREFIXES.items())
+def test_carry_prefixes_carry(name, prefix):
+    initstate, initseq = _seed_words(prefix, 0)
+    inc = (initseq << 1 | 1) % 2**128
+    low_carry = (inc % 2**64 + initstate % 2**64) >= 2**64
+    assert (low_carry, inc + initstate >= 2**128) == (name != "carry128", name != "carry64")
+
+
 @pytest.mark.parametrize(
     "prefix",
     [
@@ -65,16 +90,61 @@ def test_empty_range():
         [5, 1, 2, 3, 4],
         [2**64 - 1, 2**63, 2**32, 2**32 - 1, 0],
         [9, 2**50, 2**60, 2**33, 2**62, 11],  # more prefix words than the pool holds
+        *_CARRY_PREFIXES.values(),
     ],
 )
 def test_states_match_seed_sequence(prefix):
     for start, stop in [(0, 4), (2**32 - 2, 2**32 + 2), (2**64 - 1, 2**64 + 1)]:
-        states = list(_replicate_states(prefix, start, stop))
-        assert len(states) == stop - start
-        for r, (state, inc) in zip(range(start, stop), states):
-            seed_seq = np.random.SeedSequence([*prefix, r & _MASK64])
-            expected = np.random.PCG64(seed_seq).state["state"]
-            assert (state, inc) == (expected["state"], expected["inc"]), (prefix, r)
+        words = np.concatenate(list(_replicate_words(prefix, start, stop)))
+        assert words.shape == (stop - start, 4) and words.dtype == np.uint64
+        for r, (s_hi, s_lo, i_hi, i_lo) in zip(range(start, stop), words.tolist()):
+            expected = np.random.PCG64(np.random.SeedSequence([*prefix, r & _MASK64])).state["state"]
+            assert (s_hi << 64 | s_lo, i_hi << 64 | i_lo) == (expected["state"], expected["inc"]), (prefix, r)
+
+
+def _force_setter_route(monkeypatch):
+    """Give this thread a fresh reseeder whose probe reads back zeros, so its
+    lanes go through the ``state`` setter."""
+    monkeypatch.setattr(streams, "_state_slots", lambda bit_generator: (ctypes.c_uint64 * 4)())
+    monkeypatch.setattr(streams, "_local", threading.local())
+    assert streams._reseeder().route == "state setter"
+
+
+def _route_rows():
+    """A block's rows of mixed lengths, its lanes grown once, by whichever
+    route this thread's reseeder takes."""
+    block = next(lane_blocks(31, "route", 2**32 - 100, 2**32 + 100))
+    first = block.random(np.arange(200) % 7)
+    return first, block.random(40)
+
+
+def test_probe_reads_a_known_word_order():
+    # a native little-endian __uint128_t stores the low word first, numpy's
+    # emulated type the high word
+    assert streams._reseeder().order in ([1, 0, 3, 2], [0, 1, 2, 3])
+    assert streams._reseeder().route == "words written in place"
+
+
+def test_both_reseed_routes_draw_the_same_uniforms(monkeypatch):
+    in_place = _route_rows()
+    with monkeypatch.context() as m:
+        _force_setter_route(m)
+        setter = _route_rows()
+    for a, b in zip(in_place, setter):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_a_failed_probe_still_draws_derive_stream_rows(monkeypatch):
+    _force_setter_route(monkeypatch)
+    _assert_rows_match(8, "calib:thresholds", _BLOCK - 3, _BLOCK + 3)
+    ok, line = _check_streams(np.random.default_rng(0), cases=5)
+    assert ok and "state setter" in line
+
+
+def test_block_draws_leave_has_uint32_clear():
+    block = next(lane_blocks(32, "uint32", 0, 3))
+    block.random([3, 1, 2])
+    assert streams._reseeder().bit_generator.state["has_uint32"] == 0
 
 
 def test_ragged_counts_draw_each_lane_in_order():
