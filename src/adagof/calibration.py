@@ -19,6 +19,13 @@ that run the stages on their own: :func:`simulate_null_stats`,
 Quantiles are the order statistic of rank ``ceil((1 - u) B)`` (1-indexed,
 ascending) -- no interpolation, which never understates a threshold.
 
+A composite stage scores each (replicate, model) pair from its near-r = 1
+bound first and searches exactly only the values that the stage reads
+(:func:`simulate_null_stats` with ``settle``): the top ``B1 - i0`` values of
+each model, where ``i0 + 1`` is the lowest threshold rank, and the values
+above a model's lowest threshold.  Thresholds and level curves keep their
+bits for any worker count.
+
 Samples are drawn, transformed and scored one lane block (at most
 ``streams._BLOCK`` replicates) at a time through :func:`sample_blocks`, so
 the memory a simulation holds beyond its ``(B, models)`` statistic matrix
@@ -27,6 +34,7 @@ does not grow with the budget ``B``.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -52,6 +60,7 @@ from .estimators import (
     ModelIndex,
     ScaleSearchPolicy,
     _check_scale_search,
+    _near_unit_bound,
     _union_columns,
     composite_scale_stats_batch,
     pinned_order,
@@ -121,14 +130,50 @@ def map_replicates(chunk, args: tuple, reps: int, workers: int = 1) -> list:
         return [f.result() for f in futures]
 
 
-def _null_stats_chunk(d, models, n, kind, policy, seed, label, start, stop) -> np.ndarray:
+def _null_stats_chunk(d, models, n, kind, policy, seed, label, start, stop, settle=None) -> np.ndarray:
     stats = [np.empty((0, len(models)))]
+    largest = [np.empty(0)] * len(models)
     for samples in sample_blocks(d.sample, n, seed, label, start, stop):
         if kind is StatisticKind.SIMPLE:
             stats.append(simple_stats_batch(samples, models, d))
-        else:
+        elif settle is None:
             stats.append(composite_scale_stats_batch(samples, models, d, policy))
+        else:
+            stats.append(_settled_scale_stats(samples, models, d, policy, *settle, largest))
     return np.concatenate(stats)
+
+
+#: Rows per model, in multiples of ``top``, that a block searches exactly
+#: before it reads its first cut.
+_TOP_START = 2
+
+
+def _settled_scale_stats(samples, models, d, policy, floors, top, largest) -> np.ndarray:
+    """Composite statistics of one block, searched exactly only where a
+    threshold or a level can read them.
+
+    Each value starts as its near-r = 1 upper bound (``_near_unit_bound``).
+    Model ``j``'s value is searched exactly where that bound is at least the
+    cut ``max(floors[j], L)``, with ``L`` the ``top``-th largest exact value
+    of the model seen so far in this chunk (``-inf`` while fewer have been
+    seen, and for ``top = 0``).  The ``_TOP_START * top`` rows with the
+    largest bounds are searched first, so ``L`` is set before the others
+    are read.  ``largest[j]`` carries the model's ``top`` largest exact
+    values from block to block.  A value kept as its bound lies strictly
+    below the cut, and so does its exact value.
+    """
+    stats = _near_unit_bound(samples, models, d, policy)
+    for j, m in enumerate(models):
+        by_bound = np.argsort(-stats[:, j], kind="stable")
+        for rows in np.split(by_bound, [_TOP_START * top]):
+            seen = largest[j]
+            cut = max(floors[j], seen[0] if top and seen.size == top else -np.inf)
+            rows = rows[stats[rows, j] >= cut]
+            if rows.size:
+                stats[rows, j] = composite_scale_stats_batch(samples[rows], [m], d, policy)[:, 0]
+                if top:
+                    largest[j] = np.sort(np.concatenate([seen, stats[rows, j]]))[-top:]
+    return stats
 
 
 def simulate_null_stats(
@@ -141,26 +186,42 @@ def simulate_null_stats(
     label: str,
     policy: ScaleSearchPolicy | None = None,
     workers: int = 1,
+    settle: tuple[np.ndarray, int] | None = None,
 ) -> np.ndarray:
     """(reps, n_models) matrix of null statistics, one derived stream per row.
 
     Rows depend only on ``(seed, label, row)``, so any worker count or chunking
     yields the same matrix.
+
+    ``settle = (floors, top)``, one floor per model, makes a composite
+    simulation exact only where a threshold of the ``top`` largest ranks, or
+    a level over thresholds no lower than ``floors``, can read the value
+    (see ``_settled_scale_stats``).  Any other value is an upper bound on
+    its statistic, below its model's floor or below the ``top``-th largest
+    exact value of its chunk.  So :func:`threshold_matrix` at those ranks
+    and :func:`level_curve_from_stats` give what they give on the exact
+    matrix, for any chunking, though the values below the top can differ.
+    Simple statistics are always exact.
     """
     if kind is StatisticKind.COMPOSITE_INVARIANT and policy is None:
         raise InvalidInputError("composite calibration requires a scale-search policy")
     args = (d, models, n, kind, policy, seed, label)
-    return np.concatenate(map_replicates(_null_stats_chunk, args, reps, workers), axis=0)
+    chunk = functools.partial(_null_stats_chunk, settle=settle)
+    return np.concatenate(map_replicates(chunk, args, reps, workers), axis=0)
+
+
+def _threshold_ranks(u_grid: np.ndarray, reps: int) -> np.ndarray:
+    """The ranks ``ceil((1-u) B)`` (1-indexed, ascending) of the thresholds."""
+    ranks = np.array([math.ceil((1.0 - u) * reps) for u in u_grid])
+    if np.any(ranks < 1) or np.any(ranks > reps):
+        raise InvalidInputError("u grid incompatible with the simulation budget")
+    return ranks
 
 
 def threshold_matrix(stats: np.ndarray, u_grid: np.ndarray) -> np.ndarray:
     """Per-model thresholds ``t_m(u)``: rank ceil((1-u) B) order statistics."""
-    reps = stats.shape[0]
-    sorted_stats = np.sort(stats, axis=0)
-    ranks = np.array([math.ceil((1.0 - u) * reps) for u in u_grid])
-    if np.any(ranks < 1) or np.any(ranks > reps):
-        raise InvalidInputError("u grid incompatible with the simulation budget")
-    return sorted_stats[ranks - 1, :].T  # (n_models, n_u)
+    ranks = _threshold_ranks(u_grid, stats.shape[0])
+    return np.sort(stats, axis=0)[ranks - 1, :].T  # (n_models, n_u)
 
 
 def _validate_u_grid(u_grid: np.ndarray) -> np.ndarray:
@@ -240,8 +301,8 @@ class CalibrationTable:
                 f"thresholds must hold {len(self.models)} models x {u.size} grid points,"
                 f" got shape {self.thresholds.shape}"
             )
-        if np.any(np.diff(self.thresholds, axis=1) > 0.0):
-            raise InvalidInputError("threshold rows must not increase in u")
+        if not np.isfinite(self.thresholds).all() or np.any(np.diff(self.thresholds, axis=1) > 0.0):
+            raise InvalidInputError("thresholds must be finite and must not increase in u")
         on_grid = np.nonzero(u == self.u_alpha)[0]
         if on_grid.size == 0:
             raise InvalidInputError(f"u_alpha {self.u_alpha!r} is not on the u grid")
@@ -251,6 +312,9 @@ class CalibrationTable:
             raise InvalidInputError(
                 f"level_curve must hold one entry per grid point ({u.size}), got {np.size(self.level_curve)}"
             )
+        levels = np.asarray(self.level_curve)
+        if not (np.all((levels >= 0.0) & (levels <= 1.0)) and np.all(np.diff(levels) >= 0.0)):
+            raise InvalidInputError("level_curve must hold levels in [0, 1] that do not decrease in u")
 
     def check(self, kind, null, n, models=None, alpha=None, policy=None) -> None:
         """Raise :class:`TableMismatchError` unless this table was calibrated
@@ -377,11 +441,22 @@ def calibrate_collections(
     if statistic_kind is StatisticKind.COMPOSITE_INVARIANT and policy is None:
         policy = ScaleSearchPolicy()
     u_grid = alpha * np.arange(1, u_grid_size + 1) / u_grid_size
-    first = simulate_null_stats(d, union, n, B1, statistic_kind, seed, "calib:thresholds", policy, workers)
+    # a composite stage searches exactly only what it reads: the thresholds
+    # the top ranks, the levels the values above a model's lowest threshold
+    top = B1 - int(_threshold_ranks(u_grid, B1).min()) + 1
+    first = simulate_null_stats(
+        d, union, n, B1, statistic_kind, seed, "calib:thresholds", policy, workers,
+        (np.full(len(union), -np.inf), top),
+    )
     # thresholds first, so the two stages' statistic matrices are never both held
     threshold_rows = [threshold_matrix(first[:, cols], u_grid) for cols in columns]
     del first
-    second = simulate_null_stats(d, union, n, B2, statistic_kind, seed, "calib:level", policy, workers)
+    floors = np.empty(len(union))
+    for cols, thresholds in zip(columns, threshold_rows):
+        floors[cols] = thresholds[:, -1]
+    second = simulate_null_stats(
+        d, union, n, B2, statistic_kind, seed, "calib:level", policy, workers, (floors, 0)
+    )
     tables = []
     for cols, thresholds in zip(columns, threshold_rows):
         # rank is nonincreasing in u, so each row must be nonincreasing

@@ -38,6 +38,17 @@ further harmonics come from the Chebyshev recurrence of
 ``np.cos``/``np.sin`` of each multiple angle up to degree 24.  Blocks hold
 about ``_BLOCK_ELEMENTS`` stacked elements, so temporaries do not grow with
 the batch.
+
+Power counts and calibration thresholds and levels do not need every
+infimum.  They first score each (row, degree) pair at the coarse ratios
+nearest r = 1 (:func:`_near_unit_bound`).  Each such value is one of the
+search's own candidates, computed with its arithmetic, so their minimum is
+an upper bound on the search's result.  A pair is then searched exactly,
+one degree at a time through :func:`composite_scale_stats_batch`, only
+where a count or a threshold can depend on it: its bound exceeds its
+threshold, or it may be among the largest values that a threshold quantile
+reads.  A pair's exact value does not depend on the other rows or degrees,
+so every count, threshold and level curve keeps its bits.
 """
 
 from __future__ import annotations
@@ -295,8 +306,12 @@ def _theta_batch(x: np.ndarray, models, upper: float | None) -> np.ndarray:
 
 
 def _plug_in(z: np.ndarray, d: NullDensity) -> np.ndarray:
-    """Per-row (last axis) plug-in term ``||f0||^2 - (2/n) sum_i f0(z_i)`` of ``t_hat``."""
-    return d.l2_norm_sq - 2.0 * np.sum(d.pdf(z), axis=-1) / z.shape[-1]
+    """Per-row (last axis) plug-in term ``||f0||^2 - (2/n) sum_i f0(z_i)`` of ``t_hat``.
+
+    A sum past the float range is ``inf``, which its callers refuse."""
+    f = d.pdf(z)
+    with np.errstate(over="ignore"):
+        return d.l2_norm_sq - 2.0 * np.sum(f, axis=-1) / z.shape[-1]
 
 
 def simple_stats_batch(samples: np.ndarray, models, d: NullDensity) -> np.ndarray:
@@ -394,6 +409,46 @@ def composite_scale_stats_batch(
     bin-count statistics).
     """
     return _scale_search(samples, models, d, policy)[0]
+
+
+#: Coarse ratios either side of r = 1 that :func:`_near_unit_bound` scores.
+_NEAR_UNIT = 8
+
+
+def _near_unit_bound(
+    samples: np.ndarray, models, d: NullDensity, policy: ScaleSearchPolicy
+) -> np.ndarray:
+    """(rows, models) upper bounds on the values of :func:`_scale_search`.
+
+    A bound is the least of the search's own coarse candidates at the
+    ``2 * _NEAR_UNIT + 1`` grid ratios nearest r = 1, each computed with the
+    search's arithmetic, so bit for bit the search's value of that candidate.
+    The search keeps its coarse minimum and moves only to a strictly lower
+    refinement value, so its value never exceeds the bound.  The input is
+    checked as the search checks it, so a pair that the bound settles raises
+    what its search would.
+    """
+    _check_scale_search(models, d)
+    x = _checked_rows(samples)
+    refined = len(models) * (2 * policy.refine_factor + 1) if policy.refine_rounds else 0
+    if (stack := x.shape[1] * max(policy.coarse_points, refined)) > _MAX_SEARCH_ELEMENTS:
+        raise InvalidInputError(
+            f"the scale search would stack {stack} scaled observations per row, above its bound of"
+            f" {_MAX_SEARCH_ELEMENTS}: use fewer coarse points, a smaller refine_factor or fewer models"
+        )
+    if np.any(x <= 0.0):
+        raise SupportViolationError("all observations must be positive for this null family")
+    y = np.sort(scale_free_ratios(x), axis=1)
+    grid = policy.ratios()
+    c = grid.size // 2
+    scale = (1.0 / grid)[max(c - _NEAR_UNIT, 0):c + _NEAR_UNIT + 1, None]
+    bound = np.empty((y.shape[0], len(models)))
+    for blk in _row_blocks(y.shape[0], y.shape[1] * scale.size):
+        z = y[blk, None, :] * scale
+        plug = _plug_in(z, d)
+        for col, m in enumerate(models):
+            bound[blk, col] = (plug + _piecewise_theta(np.floor(m.degree * z), m.degree)).min(axis=1)
+    return bound
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,7 @@ from .errors import (
 from .estimators import (
     ModelIndex,
     ScaleSearchPolicy,
+    _near_unit_bound,
     _union_columns,
     composite_scale_stats_batch,
     simple_stats_batch,
@@ -277,7 +278,8 @@ def _block_counts(null, samples, columns) -> np.ndarray:
     The block is transformed once.  The simple-statistic columns read their
     columns of one ``simple_stats_batch`` per (table null, input) over the
     union of those tables' models; these run after the other kernels, so no
-    union matrix is held while another kernel runs.
+    union matrix is held while another kernel runs.  A composite column
+    searches only the pairs its count depends on (``_composite_rejected``).
     """
     # A statistic simulated under U(0, 1) must see F0(X), the null-cdf
     # transform of the data, which is the identity when the null is uniform.
@@ -295,14 +297,36 @@ def _block_counts(null, samples, columns) -> np.ndarray:
         elif table.statistic_kind is StatisticKind.SIMPLE:
             unions.setdefault((table.null, on_transform[k]), []).append(k)
         else:
-            stats = composite_scale_stats_batch(x, table.models, table.null, table.policy)
-            counts[k] = _rejections(stats, table)
+            rejected = _composite_rejected(x, table.models, table.null, table.policy, table.thresholds_at_u_alpha)
+            counts[k] = int(rejected.sum())
     for (d, on_transform), members in unions.items():
         union, member_columns = _union_columns([columns[k].table.models for k in members])
         stats = simple_stats_batch(inputs[on_transform], union, d)
         for k, cols in zip(members, member_columns):
             counts[k] = _rejections(stats[:, cols], columns[k].table)
     return counts
+
+
+def _composite_rejected(x: np.ndarray, models, d, policy, thresholds: np.ndarray) -> np.ndarray:
+    """Rows of ``x`` where some model's composite statistic exceeds its
+    threshold: ``(composite_scale_stats_batch(x, models, d, policy) > thresholds).any(1)``.
+
+    A (row, model) pair whose near-r = 1 bound (``_near_unit_bound``) is at
+    most its threshold cannot exceed it.  The others are searched exactly,
+    one model at a time, the model with the most open pairs first; a row is
+    settled as rejected once one of its values exceeds, and its other models
+    are never searched.
+    """
+    open_pairs = _near_unit_bound(x, models, d, policy) > thresholds
+    rejected = np.zeros(x.shape[0], dtype=bool)
+    while open_pairs.any():
+        j = int(open_pairs.sum(axis=0).argmax())
+        rows = np.flatnonzero(open_pairs[:, j])
+        exceeds = rows[composite_scale_stats_batch(x[rows], [models[j]], d, policy)[:, 0] > thresholds[j]]
+        open_pairs[rows, j] = False
+        open_pairs[exceeds] = False
+        rejected[exceeds] = True
+    return rejected
 
 
 def _rejections(stats: np.ndarray, table: CalibrationTable) -> int:

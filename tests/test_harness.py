@@ -471,6 +471,12 @@ _MALFORMED_CLI = {
     "non-integer-n-in-config": ["power", "--config", "{bad_n_config}"],
     "non-integer-alternative-parameter": ["power", "--config", "{bad_alt_config}"],
     "truncated-table": ["test", "--calib", "{truncated_table}", "--data", "{data}"],
+    # tables that could never reject, or whose levels are no levels
+    "infinite-threshold-table": ["test", "--calib", "{infinite_table}", "--data", "{data}"],
+    "nan-level-table": ["test", "--calib", "{nan_level_table}", "--data", "{data}"],
+    "level-above-one-table": ["test", "--calib", "{level_seven_table}", "--data", "{data}"],
+    "negative-level-table": ["test", "--calib", "{negative_level_table}", "--data", "{data}"],
+    "decreasing-level-table": ["test", "--calib", "{decreasing_level_table}", "--data", "{data}"],
     "unwritable-out": [
         "calibrate", "--null", "uniform", "--models", "fourier:1", "--n", "20",
         "--b1", "100", "--b2", "100", "--out", "{missing}/table.json",
@@ -484,6 +490,14 @@ def test_malformed_input_exits_2(case, tmp_path, capsys, tiny_table):
     files = {
         "table": table_doc,
         "truncated_table": dict(table_doc, thresholds=table_doc["thresholds"][:-1]),
+        "infinite_table": dict(
+            table_doc, thresholds=[np.inf] * len(table_doc["thresholds"]),
+            thresholds_at_u_alpha=[np.inf] * len(table_doc["thresholds_at_u_alpha"]),
+        ),
+        "nan_level_table": dict(table_doc, level_curve=[np.nan] * len(table_doc["level_curve"])),
+        "level_seven_table": dict(table_doc, level_curve=[7.0] * len(table_doc["level_curve"])),
+        "negative_level_table": dict(table_doc, level_curve=[-1.0] * len(table_doc["level_curve"])),
+        "decreasing_level_table": dict(table_doc, level_curve=table_doc["level_curve"][::-1]),
         "policyless_table": dict(
             table_doc, statistic_kind="composite_invariant",
             models=[{"family": "piecewise", "degree": d} for d in (2, 3, 4)],
@@ -516,6 +530,17 @@ def test_malformed_input_exits_2(case, tmp_path, capsys, tiny_table):
     argv = [a.format(**{k: str(v) for k, v in paths.items()}) for a in _MALFORMED_CLI[case]]
     assert cli_main(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_plug_in_sum_past_the_float_range_exits_2_without_a_warning(tmp_path, capsys):
+    # the N(0, 1e-306) density sums past the float range over 2,000 points
+    rc = cli_main([
+        "calibrate", "--null", "gaussian:0,1e-306", "--models", "piecewise:1-3", "--n", "2000",
+        "--b1", "100", "--b2", "100", "--out", str(tmp_path / "x.json"),
+    ])
+    assert rc == 2
+    assert "not finite" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("budgets", [[600], [600, 600, 7]], ids=["one", "three"])
