@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adagof import estimators
 from adagof.calibration import (
     StatisticKind,
     _threshold_ranks,
@@ -20,6 +19,7 @@ from adagof.calibration import (
     simulate_null_stats,
     threshold_matrix,
 )
+from adagof.errors import InvalidInputError, SupportViolationError
 from adagof.estimators import (
     ScaleSearchPolicy,
     _near_unit_bound,
@@ -81,9 +81,9 @@ def test_the_bound_refuses_what_the_search_refuses():
     x = _rows("exponential", 3, 20, 5)
     x[1, 4] = 0.0
     for search in (_near_unit_bound, _scale_search):
-        with pytest.raises(estimators.SupportViolationError):
+        with pytest.raises(SupportViolationError):
             search(x, models, Exponential(), POLICY)
-        with pytest.raises(estimators.InvalidInputError, match="would stack"):
+        with pytest.raises(InvalidInputError, match="would stack"):
             search(np.ones((1, 1 << 16)), models, Exponential(), ScaleSearchPolicy())
 
 
