@@ -1,27 +1,19 @@
 """Adaptive multiple-testing goodness-of-fit tests with Monte Carlo calibration.
 
 The package tests whether a sample comes from a fixed density or from a
-translation/scale family, by comparing a collection of projected
-L2-distance estimators against Monte-Carlo-calibrated thresholds, and ships
-the competitor tests, alternative densities, and power-study harness used to
-benchmark the procedure.
+scale family, by comparing a collection of projected L2-distance estimators
+against Monte-Carlo-calibrated thresholds, and ships the competitor tests,
+alternative densities, and power-study harness used to benchmark the
+procedure.
 """
 
-from .adaptive_test import (
-    ModelDiagnostic,
-    TestResult,
-    run_composite_compact_test,
-    run_composite_invariant_test,
-    run_simple_test,
-)
+from .adaptive_test import ModelDiagnostic, TestResult, run_composite_invariant_test, run_simple_test
 from .alternatives import AlternativeSpec, alt_l2_distance_sq, from_id
 from .baselines import (
     BaselineConfig,
     BaselineKind,
     bickel_ritov_statistic,
     calibrate_baseline,
-    kallenberg_ledwina_test,
-    ks_exponential_statistic,
     ks_statistic,
 )
 from .bases import BasisFamily, basis_sums, bin_index, fourier_eval
@@ -45,7 +37,6 @@ from .estimators import (
     ModelIndex,
     ScaleSearchPolicy,
     t_hat,
-    t_tilde_affine,
     t_tilde_scale,
     theta_hat,
     theta_hat_naive,

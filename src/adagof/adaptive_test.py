@@ -15,13 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .calibration import CalibrationTable, StatisticKind
-from .estimators import (
-    ModelIndex,
-    ScaleSearchPolicy,
-    _scale_search,
-    simple_stats_batch,
-    t_tilde_affine,
-)
+from .estimators import ModelIndex, ScaleSearchPolicy, _scale_search, simple_stats_batch
 # Imported only so that perfbench/tracing.py can wrap them at this import site.
 from .estimators import t_hat, t_tilde_scale  # noqa: F401
 from .null_models import NullDensity
@@ -33,7 +27,6 @@ class ModelDiagnostic:
     stat: float
     threshold: float
     exceedance: float
-    mu: float | None = None
     sigma: float | None = None
     sigma_ratio: float | None = None
 
@@ -45,7 +38,7 @@ class ModelDiagnostic:
             "threshold": self.threshold,
             "exceedance": self.exceedance,
         }
-        for key in ("sigma", "sigma_ratio", "mu"):
+        for key in ("sigma", "sigma_ratio"):
             if (value := getattr(self, key)) is not None:
                 doc[key] = value
         return doc
@@ -69,15 +62,15 @@ class TestResult:
         }
 
 
-def _sup_test(table: CalibrationTable, stats, mu=None, sigma=None, sigma_ratio=None) -> TestResult:
+def _sup_test(table: CalibrationTable, stats, sigma=None, sigma_ratio=None) -> TestResult:
     """One sample's per-model statistics against the thresholds at u_alpha;
-    ``mu``, ``sigma`` and ``sigma_ratio`` are per-model search results to report.
+    ``sigma`` and ``sigma_ratio`` are per-model search results to report.
     Every argument but the table is a float array in the table's model order."""
     thresholds = table.thresholds_at_u_alpha
     exceedances = (stats - thresholds).tolist()
     columns = [stats.tolist(), thresholds.tolist(), exceedances] + [
         [None] * len(exceedances) if v is None else v.tolist()
-        for v in (mu, sigma, sigma_ratio)
+        for v in (sigma, sigma_ratio)
     ]
     per_model = tuple(map(ModelDiagnostic, table.models, *columns))
     statistic = max(exceedances)
@@ -113,25 +106,3 @@ def run_composite_invariant_test(
     x = np.asarray(sample, dtype=float)
     values, ratios = _scale_search(x[None, :], table.models, d, table.policy)
     return _sup_test(table, values[0], sigma=float(np.mean(x)) * ratios[0], sigma_ratio=ratios[0])
-
-
-def run_composite_compact_test(
-    sample: np.ndarray,
-    d: NullDensity,
-    K: tuple[tuple[float, float], tuple[float, float]],
-    grid: tuple[int, int],
-    table: CalibrationTable,
-    refine_rounds: int = 1,
-    refine_factor: int = 8,
-) -> TestResult:
-    """Translation/scale test over a compact rectangle.
-
-    The searched statistic is compared against the SIMPLE-statistic
-    thresholds, which bounds the level from above for every family member
-    whose parameters lie in the rectangle (at the cost of conservatism).
-    """
-    table.check(StatisticKind.SIMPLE, d, len(sample))
-    value, mu, sigma = np.array(
-        [t_tilde_affine(sample, m, d, K, grid, refine_rounds, refine_factor) for m in table.models]
-    ).T
-    return _sup_test(table, value, mu=mu, sigma=sigma)

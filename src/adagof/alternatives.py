@@ -260,9 +260,13 @@ def _contaminated_unit(bump: Callable, envelope: float, closed: bool = True):
 
 
 def _beta_part(p: float, q: float):
-    """``(pdf, draw)`` of Beta(p, q), a mixture part."""
+    """``(pdf, draw)`` of Beta(p, q), a mixture part.  A pair is refused when
+    ``gamma_sample``'s boosts ``U^(1/shape)`` of both shapes underflow to 0 at
+    the smallest nonzero draw of ``random()``, 2^-53: a draw could be 0/0."""
     if not (p > 0.0 and q > 0.0):
         raise InvalidInputError("beta parameters must be positive")
+    if (2.0**-53) ** (1.0 / max(p, q)) == 0.0:
+        raise InvalidInputError(f"beta shapes {p:g} and {q:g} are both too small: G1 / (G1 + G2) would be 0/0")
     return (lambda x: beta_pdf(x, p, q)), (lambda lanes, counts: beta_sample(lanes, p, q, counts))
 
 

@@ -81,16 +81,13 @@ def ks_statistic_batch(samples: np.ndarray, d: NullDensity) -> np.ndarray:
     return _sorted_cdf_ks(np.asarray(d.cdf(xs), dtype=float))
 
 
-def ks_exponential_statistic(sample: np.ndarray) -> float:
-    """KS distance to the exponential cdf with the mean plugged in as scale.
+def ks_exponential_statistic_batch(samples: np.ndarray) -> np.ndarray:
+    """KS distance per row to the exponential cdf with the row mean plugged
+    in as scale.
 
-    Computed on the canonical mean-standardized ratios, so the value is
+    Computed on the canonical mean-standardized ratios, so each value is
     bit-identical under ``x -> c x``; its null law is free of the true scale.
     """
-    return float(ks_exponential_statistic_batch(_row(sample))[0])
-
-
-def ks_exponential_statistic_batch(samples: np.ndarray) -> np.ndarray:
     x = _checked_rows(samples, min_n=1)
     if np.any(x <= 0.0):
         raise SupportViolationError("exponentiality statistic needs positive observations")
@@ -165,15 +162,6 @@ def kallenberg_ledwina_statistic_batch(
     selected = penalized.argmax(axis=0)  # first maximizer = smallest dimension
     stats = t_d[selected, np.arange(x.shape[0])]
     return selected + 1, stats
-
-
-def kallenberg_ledwina_test(
-    sample: np.ndarray, d_of_n: int, critical_value: float
-) -> tuple[int, float, bool]:
-    """Run the data-driven smooth test; returns (selected_D, statistic, reject)."""
-    selected, stats = kallenberg_ledwina_statistic_batch(_row(sample), d_of_n)
-    stat = float(stats[0])
-    return int(selected[0]), stat, stat > critical_value
 
 
 def baseline_statistics(kind: BaselineKind, samples: np.ndarray, d_of_n: int | None) -> np.ndarray:

@@ -13,10 +13,10 @@ The simple-null statistic adds the plug-in cross terms:
 
     t_hat = theta_hat + ||f0||_2^2 - (2/n) sum_i f0(X_i).
 
-Composite statistics take the infimum of ``t_hat`` over standardizations
-``(x - mu) / sigma``.  The scale-only search runs on a log-spaced grid that
-rescales with the sample mean, which makes the statistic exactly scale
-invariant (see :func:`scale_free_ratios`).
+The composite statistic takes the infimum of ``t_hat`` over the scale
+family ``x / sigma``.  The search runs on a log-spaced grid that rescales
+with the sample mean, which makes the statistic exactly scale invariant (see
+:func:`scale_free_ratios`).
 
 Each statistic has one kernel, working on a batch with one row per sample:
 :func:`simple_stats_batch` and the scale search behind
@@ -177,12 +177,6 @@ class ScaleSearchResult(NamedTuple):
     sigma_ratio: float
 
 
-class AffineSearchResult(NamedTuple):
-    value: float
-    mu: float
-    sigma: float
-
-
 def scale_free_ratios(x: np.ndarray) -> np.ndarray:
     """Canonical scale-free representation of positive samples, row-wise.
 
@@ -214,10 +208,11 @@ def scale_free_ratios(x: np.ndarray) -> np.ndarray:
 #: block faults them back in (a 300 x 100 search ran ~35% slower, x86-64).
 _BLOCK_ELEMENTS = 1 << 15
 
-#: Scaled observations one row of the composite scale search may stack: its
-#: coarse grid or one refinement round at every degree.  Each float64
-#: temporary of that size is 128 MiB; the default policy stays within it up
-#: to n = 65,280.
+#: Values one row of a stacked kernel may hold: the composite scale search's
+#: coarse grid or one refinement round at every degree, or the simple
+#: kernel's piecewise degrees or Fourier functions.  Each float64 temporary
+#: of that size is 128 MiB; the default policy stays within it up to
+#: n = 65,280, and a Fourier degree of 8,190 up to n = 2,048.
 _MAX_SEARCH_ELEMENTS = 1 << 24
 
 
@@ -275,6 +270,14 @@ def _theta_batch(x: np.ndarray, models, upper: float | None) -> np.ndarray:
     piecewise, fourier = [], []
     for col, m in enumerate(models):
         (piecewise if m.family is BasisFamily.PIECEWISE_CONSTANT else fourier).append(col)
+    # one row stacks n values per piecewise degree, and n per Fourier
+    # function up to top + 2 (none without Fourier models)
+    fourier_top = max((models[c].degree for c in fourier), default=-2)
+    if (stack := n * max(len(piecewise), fourier_top + 2)) > _MAX_SEARCH_ELEMENTS:
+        raise InvalidInputError(
+            f"the simple statistic would stack {stack} basis values per row, above its bound of"
+            f" {_MAX_SEARCH_ELEMENTS}: use a smaller sample, fewer piecewise models or a lower fourier degree"
+        )
     if piecewise:
         # every piecewise degree in one stacked (degree, row, obs) pass per block
         degrees = np.array([models[c].degree for c in piecewise])[:, None, None]
@@ -293,11 +296,10 @@ def _theta_batch(x: np.ndarray, models, upper: float | None) -> np.ndarray:
         # constant, then rows 2.. of multiple_angles(2 pi x), every function
         # of a block in one stacked (function, row, obs) pass
         degrees = np.array([models[c].degree for c in fourier])
-        top = int(degrees.max())
-        cols = np.empty((top + 1, b))
+        cols = np.empty((fourier_top + 1, b))
         cols[0] = n * n - n
-        for blk in _row_blocks(b, n * (top + 2)):
-            vals = multiple_angles(2.0 * np.pi * x[blk], top + 2, sines=True)[2:]
+        for blk in _row_blocks(b, n * (fourier_top + 2)):
+            vals = multiple_angles(2.0 * np.pi * x[blk], fourier_top + 2, sines=True)[2:]
             vals *= _SQRT2
             S = vals.sum(axis=-1)
             cols[1:, blk] = S * S - (vals * vals).sum(axis=-1)
@@ -338,15 +340,11 @@ def _check_scale_search(models, d: NullDensity) -> None:
         raise InvalidInputError(f"composite scale search needs a null on [0, inf), not {d.name}")
 
 
-def _scale_search(
-    samples: np.ndarray, models, d: NullDensity, policy: ScaleSearchPolicy
-) -> tuple[np.ndarray, np.ndarray]:
-    """Minimum of ``t_hat(x / (mean(x) r))`` over the policy's ratios ``r``,
-    per row and piecewise model, and the ratio attaining it.
-
-    Ties keep the candidate evaluated first: the smallest coarse ratio, and a
-    refinement candidate only when it is strictly lower.
-    """
+def _search_input(samples, models, d: NullDensity, policy: ScaleSearchPolicy) -> np.ndarray:
+    """The row-sorted scale-free ratios that the composite scale search
+    scores.  Its input contract is checked here, in this order: the models
+    and null, the rows, a stack within ``_MAX_SEARCH_ELEMENTS`` per row, and
+    positive observations."""
     _check_scale_search(models, d)
     x = _checked_rows(samples)
     refined = len(models) * (2 * policy.refine_factor + 1) if policy.refine_rounds else 0
@@ -357,7 +355,19 @@ def _scale_search(
         )
     if np.any(x <= 0.0):
         raise SupportViolationError("all observations must be positive for this null family")
-    y = np.sort(scale_free_ratios(x), axis=1)
+    return np.sort(scale_free_ratios(x), axis=1)
+
+
+def _scale_search(
+    samples: np.ndarray, models, d: NullDensity, policy: ScaleSearchPolicy
+) -> tuple[np.ndarray, np.ndarray]:
+    """Minimum of ``t_hat(x / (mean(x) r))`` over the policy's ratios ``r``,
+    per row and piecewise model, and the ratio attaining it.
+
+    Ties keep the candidate evaluated first: the smallest coarse ratio, and a
+    refinement candidate only when it is strictly lower.
+    """
+    y = _search_input(samples, models, d, policy)
     degrees = np.array([m.degree for m in models])
     grid = policy.ratios()
     log_grid = np.log(grid)
@@ -424,21 +434,11 @@ def _near_unit_bound(
     ``2 * _NEAR_UNIT + 1`` grid ratios nearest r = 1, each computed with the
     search's arithmetic, so bit for bit the search's value of that candidate.
     The search keeps its coarse minimum and moves only to a strictly lower
-    refinement value, so its value never exceeds the bound.  The input is
-    checked as the search checks it, so a pair that the bound settles raises
-    what its search would.
+    refinement value, so its value never exceeds the bound.  The input goes
+    through the search's :func:`_search_input`, so a pair that the bound
+    settles raises what its search would.
     """
-    _check_scale_search(models, d)
-    x = _checked_rows(samples)
-    refined = len(models) * (2 * policy.refine_factor + 1) if policy.refine_rounds else 0
-    if (stack := x.shape[1] * max(policy.coarse_points, refined)) > _MAX_SEARCH_ELEMENTS:
-        raise InvalidInputError(
-            f"the scale search would stack {stack} scaled observations per row, above its bound of"
-            f" {_MAX_SEARCH_ELEMENTS}: use fewer coarse points, a smaller refine_factor or fewer models"
-        )
-    if np.any(x <= 0.0):
-        raise SupportViolationError("all observations must be positive for this null family")
-    y = np.sort(scale_free_ratios(x), axis=1)
+    y = _search_input(samples, models, d, policy)
     grid = policy.ratios()
     c = grid.size // 2
     scale = (1.0 / grid)[max(c - _NEAR_UNIT, 0):c + _NEAR_UNIT + 1, None]
@@ -523,51 +523,3 @@ def t_tilde_scale(
     values, ratios = _scale_search(x, [m], d, policy)
     ratio = float(ratios[0, 0])
     return ScaleSearchResult(float(values[0, 0]), float(np.mean(x)) * ratio, ratio)
-
-
-def t_tilde_affine(
-    sample: np.ndarray,
-    m: ModelIndex,
-    d: NullDensity,
-    K: tuple[tuple[float, float], tuple[float, float]],
-    grid: tuple[int, int] = (17, 17),
-    refine_rounds: int = 1,
-    refine_factor: int = 8,
-) -> AffineSearchResult:
-    """Minimum of ``t_hat((x - mu) / sigma)`` over a product grid on ``K``.
-
-    ``K = ((mu_lo, mu_hi), (sigma_lo, sigma_hi))``; a degenerate rectangle
-    collapses the search to a single standardization.  Each round evaluates
-    its whole grid as one :func:`simple_stats_batch` call.  Refinement
-    subdivides the one-cell window around the running argmin on each axis.
-    Ties break toward smaller sigma, then smaller mu.
-    """
-    (mu_lo, mu_hi), (sig_lo, sig_hi) = K
-    if mu_lo > mu_hi or sig_lo > sig_hi:
-        raise InvalidInputError("empty or inverted parameter rectangle")
-    if not sig_lo > 0.0:
-        raise InvalidInputError("sigma range must be strictly positive")
-    n_mu, n_sig = grid
-    if n_mu < 2 or n_sig < 2:
-        raise InvalidInputError("grid must have at least 2 nodes per axis")
-    x = _row(sample)[0]
-
-    mus = np.linspace(mu_lo, mu_hi, n_mu)
-    sigs = np.linspace(sig_lo, sig_hi, n_sig)
-    best = None
-    for _ in range(refine_rounds + 1):
-        # sigma-major rows; argmin keeps the first minimum, which is the
-        # (smaller sigma, then smaller mu) tie-break.
-        z = (x[None, None, :] - mus[None, :, None]) / sigs[:, None, None]
-        values = simple_stats_batch(z.reshape(-1, x.size), [m], d)[:, 0]
-        j = int(np.argmin(values))
-        si, mi = divmod(j, mus.size)
-        if best is None or values[j] < best.value:
-            best = AffineSearchResult(float(values[j]), float(mus[mi]), float(sigs[si]))
-        mus = np.linspace(
-            mus[max(mi - 1, 0)], mus[min(mi + 1, mus.size - 1)], 2 * refine_factor + 1
-        )
-        sigs = np.linspace(
-            sigs[max(si - 1, 0)], sigs[min(si + 1, sigs.size - 1)], 2 * refine_factor + 1
-        )
-    return best

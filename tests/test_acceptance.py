@@ -13,6 +13,7 @@ import hashlib
 import json
 import math
 import os
+import platform
 
 import numpy as np
 import pytest
@@ -302,10 +303,13 @@ def test_criterion_10_rate_statements_out_of_computational_scope():
     _report("criterion 10: rate statements covered indirectly by the property suite", [])
 
 
-# sha256 of the bytes that ``adagof table <id> --scale 0.25 --seed 1`` writes
-# (measured with numpy 2.4.6 on x86_64 Linux).  The bits depend on numpy's
-# SeedSequence and PCG64 and on libm's cos, sin, exp and log; a declared
-# re-baseline edits these digests in the same commit.
+# Where every digest below was measured.  The bits depend on numpy's
+# SeedSequence and PCG64 and on libm's cos, sin, exp and log, so a digest
+# failure prints this beside the running platform; a declared re-baseline
+# edits the digests and this record in the same commit.
+DIGEST_PLATFORM = {"numpy": "2.4.6", "machine": "x86_64", "system": "Linux"}
+
+# sha256 of the bytes that ``adagof table <id> --scale 0.25 --seed 1`` writes.
 PRESET_DIGESTS = {
     0.25: {
         "T1": "156602c8db733781aaba5580f1fccf78f2b17ad3c61eb05bcb2aaaf83864b053",
@@ -323,8 +327,24 @@ TABLE_DIGESTS = {
 }
 
 
+def _running_platform() -> dict:
+    return {"numpy": np.__version__, "machine": platform.machine(), "system": platform.system()}
+
+
 def _digest_failures(want: dict, got: dict) -> list[str]:
-    return [f"{name}: digest {want[name]} changed to {got[name]}" for name in want if got[name] != want[name]]
+    where = f"pinned on {DIGEST_PLATFORM}, running on {_running_platform()}"
+    return [
+        f"{name}: digest {want[name]} changed to {got[name]} ({where})"
+        for name in want if got[name] != want[name]
+    ]
+
+
+def test_a_digest_failure_says_where_the_digest_was_pinned(monkeypatch):
+    monkeypatch.setattr(np, "__version__", "9.9.9")
+    (failure,) = _digest_failures({"T1": "a", "T2": "b"}, {"T1": "a", "T2": "c"})
+    assert failure.startswith("T2: digest b changed to c")
+    assert "'numpy': '2.4.6', 'machine': 'x86_64', 'system': 'Linux'" in failure
+    assert f"'numpy': '9.9.9', 'machine': '{platform.machine()}'" in failure
 
 
 def test_preset_csv_bytes_keep_their_digests(preset_rows):

@@ -10,15 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import adagof
-from adagof.adaptive_test import (
-    run_composite_compact_test,
-    run_composite_invariant_test,
-    run_simple_test,
-)
+from adagof.adaptive_test import run_composite_invariant_test, run_simple_test
 from adagof.baselines import (
     bickel_ritov_statistic,
-    kallenberg_ledwina_test,
-    ks_exponential_statistic,
+    kallenberg_ledwina_statistic_batch,
+    ks_exponential_statistic_batch,
     ks_statistic,
 )
 from adagof.bases import BasisFamily
@@ -29,7 +25,6 @@ from adagof.estimators import (
     ScaleSearchPolicy,
     composite_scale_stats_batch,
     simple_stats_batch,
-    t_hat,
 )
 from adagof.harness import mixed_models, scale_models
 from adagof.null_models import Exponential, Gaussian, Uniform01
@@ -137,46 +132,6 @@ def gauss_table():
     )
 
 
-class TestCompositeCompactTest:
-    def test_single_point_rectangle_matches_simple_test(self, gauss_table):
-        mu0, sig0 = 0.4, 1.3
-        x = Gaussian(mu0, sig0).sample(50, derive_stream(32, "cc", 0))
-        res = run_composite_compact_test(
-            x, Gaussian(0.0, 1.0), ((mu0, mu0), (sig0, sig0)), (2, 2), gauss_table
-        )
-        simple = run_simple_test((x - mu0) / sig0, Gaussian(0.0, 1.0), gauss_table)
-        assert res.reject == simple.reject
-        assert res.statistic == pytest.approx(simple.statistic, abs=1e-12)
-
-    def test_statistic_below_any_grid_standardization(self, gauss_table):
-        x = Gaussian(0.2, 1.1).sample(50, derive_stream(32, "cc", 1))
-        K = ((-0.5, 0.5), (0.8, 1.6))
-        res = run_composite_compact_test(x, Gaussian(0.0, 1.0), K, (5, 5), gauss_table)
-        for mu in np.linspace(-0.5, 0.5, 5):
-            for sig in np.linspace(0.8, 1.6, 5):
-                z = (x - mu) / sig
-                for p, m in zip(res.per_model, gauss_table.models):
-                    assert p.stat <= t_hat(z, m, Gaussian(0.0, 1.0)) + 1e-12
-
-    def test_level_bounded_at_grid_member(self, gauss_table):
-        # data from a family member whose parameters sit on the search grid:
-        # the compact test can reject at most as often as the simple test on
-        # the correctly standardized data, so its level is controlled
-        mu0, sig0 = 0.25, 1.25
-        K = ((-1.0, 1.0), (0.5, 2.0))
-        rejections = simple_rejections = 0
-        for r in range(60):
-            x = Gaussian(mu0, sig0).sample(50, derive_stream(33, "lvl", r))
-            res = run_composite_compact_test(
-                x, Gaussian(0.0, 1.0), K, (9, 7), gauss_table, refine_rounds=0
-            )
-            rejections += res.reject
-            simple_rejections += run_simple_test(
-                (x - mu0) / sig0, Gaussian(0.0, 1.0), gauss_table
-            ).reject
-        assert rejections <= simple_rejections
-
-
 @pytest.fixture(scope="module")
 def fourier_table():
     return calibrate(
@@ -201,13 +156,6 @@ class TestNonFiniteObservation:
     def test_composite_invariant_test_raises(self, bad, composite_table):
         with pytest.raises(AdagofError):
             run_composite_invariant_test(_with_bad_value(60, bad), Exponential(), None, composite_table)
-
-    def test_composite_compact_test_raises(self, bad, gauss_table):
-        with pytest.raises(AdagofError):
-            run_composite_compact_test(
-                _with_bad_value(50, bad), Gaussian(0.0, 1.0), ((-0.5, 0.5), (0.5, 2.0)), (3, 3),
-                gauss_table,
-            )
 
 
 def _assert_decisions_are_kernel_rows(results, batch, table):
@@ -259,22 +207,18 @@ _ENTRY_POINTS = {
         Exponential(), 60,
         lambda x, t: run_composite_invariant_test(x, Exponential(), None, t["composite"]),
     ),
-    "run_composite_compact_test": (
-        Gaussian(0.0, 1.0), 50,
-        lambda x, t: run_composite_compact_test(
-            x, Gaussian(0.0, 1.0), ((-0.5, 0.5), (0.8, 1.6)), (3, 3), t["gauss"]
-        ),
-    ),
     "ks_statistic": (Uniform01(), 40, lambda x, t: ks_statistic(x, Uniform01())),
-    "ks_exponential_statistic": (Exponential(), 60, lambda x, t: ks_exponential_statistic(x)),
+    "ks_exponential_statistic_batch": (Exponential(), 60, lambda x, t: ks_exponential_statistic_batch(x[None])),
     "bickel_ritov_statistic": (Uniform01(), 40, lambda x, t: bickel_ritov_statistic(x, 6)),
-    "kallenberg_ledwina_test": (Uniform01(), 40, lambda x, t: kallenberg_ledwina_test(x, 6, 1.0)),
+    "kallenberg_ledwina_statistic_batch": (
+        Uniform01(), 40, lambda x, t: kallenberg_ledwina_statistic_batch(x[None], 6),
+    ),
 }
 
 
 @pytest.fixture(scope="module")
-def tables(simple_table, composite_table, gauss_table):
-    return {"simple": simple_table, "composite": composite_table, "gauss": gauss_table}
+def tables(simple_table, composite_table):
+    return {"simple": simple_table, "composite": composite_table}
 
 
 @settings(max_examples=60, deadline=None)
@@ -306,11 +250,11 @@ def test_a_sample_whose_mean_overflows_is_refused(composite_table):
     for c in (1e300, 1e306):
         scaled = run_composite_invariant_test(c * x, Exponential(), None, composite_table)
         assert scaled.statistic == base.statistic
-    assert ks_exponential_statistic(1e306 * x) == ks_exponential_statistic(x)
+    assert ks_exponential_statistic_batch(1e306 * x[None]) == ks_exponential_statistic_batch(x[None])
     with pytest.raises(InvalidInputError, match="mean overflows"):
         run_composite_invariant_test(1e307 * x, Exponential(), None, composite_table)
     with pytest.raises(InvalidInputError, match="mean overflows"):
-        ks_exponential_statistic(1e307 * x)
+        ks_exponential_statistic_batch(1e307 * x[None])
 
 
 @pytest.mark.filterwarnings("error")

@@ -413,6 +413,8 @@ def test_constructor_ids_are_catalog_ids(spec, alt_id):
 
 _POSITIVE = st.floats(min_value=0.0, max_value=1e6, exclude_min=True)
 _WEIGHT = st.floats(min_value=0.0, max_value=1.0)
+# a beta pair whose shapes are both below about 0.0493 is refused: its draw can be 0/0
+_BETA = st.tuples(_POSITIVE, _POSITIVE, _WEIGHT).filter(lambda t: max(t[0], t[1]) >= 0.05)
 
 
 def _legendre_params(j):
@@ -424,7 +426,7 @@ def _legendre_params(j):
 # Catalog prefix -> strategy of valid constructor parameters.
 _VALID_PARAMS = {
     "f": st.tuples(st.floats(min_value=0.0, max_value=1.0, exclude_min=True), st.integers(1, 10**6)),
-    "g": st.tuples(_POSITIVE, _POSITIVE, _WEIGHT),
+    "g": _BETA,
     "h": st.integers(1, 10**4).flatmap(_legendre_params),
     "norm:f": st.tuples(_POSITIVE),
     "norm:g": st.tuples(st.floats(min_value=-1e6, max_value=1e6), _POSITIVE),
@@ -432,7 +434,7 @@ _VALID_PARAMS = {
     "norm:h": st.tuples(st.floats(min_value=1e-306, max_value=1e6)),
     "exp:g": st.tuples(st.integers(1, 10**6).map(lambda k: 2 * k)),
     "exp:h": st.tuples(st.integers(1, 10**6)),
-    "exp:k": st.tuples(_POSITIVE, _POSITIVE, _WEIGHT),
+    "exp:k": _BETA,
     "exp:l": st.tuples(_POSITIVE, _POSITIVE, _WEIGHT),
     "exp:t": st.just(()),
     "exp:v": st.just(()),
@@ -523,6 +525,27 @@ def test_a_norm_h_rate_whose_window_overflows_is_refused_before_any_warning(rate
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(InvalidInputError, match="window 40/p is not finite"):
             from_id(f"norm:h:{rate}")
+
+
+@pytest.mark.parametrize("alt_id", ["g:1e-200,1e-200,0.5", "exp:k:1e-300,1e-300,0.5", "g:0.04,0.04,0.5"])
+def test_a_beta_pair_whose_draw_is_zero_over_zero_is_refused_by_from_id(alt_id):
+    # both boosts U^(1/shape) underflowed to 0, so beta_sample warned "invalid
+    # value encountered in divide" and the id was refused only at draw time
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(InvalidInputError, match="0/0"):
+            from_id(alt_id)
+
+
+@pytest.mark.parametrize("alt_id, digest", [
+    ("g:1e-200,2,0.5", "262b57a3eaabd9c8568c0f06c1f511031f066695ea3b5f7511fbafe9a0b19f30"),
+    ("exp:k:3,1e-300,0.5", "335274d11a72650c925ea5e5af1342627d5ada004b2cd25172fb117c5638ea21"),
+])
+def test_a_beta_pair_with_one_tiny_shape_keeps_its_draws(alt_id, digest):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        draws = from_id(alt_id).sampler(2000, derive_stream(0, "one-tiny", 0))
+    assert hashlib.sha256(draws.tobytes()).hexdigest() == digest
 
 
 # the fixed examples each hung (an infinite gamma shape, a Legendre degree of

@@ -14,8 +14,7 @@ from adagof.baselines import (
     calibrate_baseline,
     default_dimension,
     kallenberg_ledwina_statistic_batch,
-    kallenberg_ledwina_test,
-    ks_exponential_statistic,
+    ks_exponential_statistic_batch,
     ks_statistic,
 )
 from adagof.errors import BudgetTooSmallError, InvalidInputError, SupportViolationError
@@ -50,14 +49,14 @@ class TestKS:
 
 class TestKSExponential:
     def test_two_equal_points(self):
-        val = ks_exponential_statistic(np.array([1.0, 1.0]))
+        (val,) = ks_exponential_statistic_batch(np.array([[1.0, 1.0]]))
         assert val == pytest.approx(1.0 - math.exp(-1.0), abs=1e-7)
 
     def test_exact_scale_invariance(self):
         x = Exponential().sample(200, derive_stream(50, "ksx", 0))
-        base = ks_exponential_statistic(x)
+        base = ks_exponential_statistic_batch(x[None])
         for c in (0.1, 3.0, 100.0):
-            assert ks_exponential_statistic(c * x) == base
+            assert ks_exponential_statistic_batch(c * x[None]) == base
 
     def test_grid_oracle(self):
         x = Exponential().sample(150, derive_stream(50, "ksx", 1))
@@ -68,11 +67,11 @@ class TestKSExponential:
         right = np.searchsorted(rs, t_grid, side="right") / r.size
         left = np.searchsorted(rs, t_grid, side="left") / r.size
         oracle = max(np.abs(right - fitted).max(), np.abs(left - fitted).max())
-        assert ks_exponential_statistic(x) == pytest.approx(oracle, abs=1e-6)
+        assert ks_exponential_statistic_batch(x[None])[0] == pytest.approx(oracle, abs=1e-6)
 
     def test_support_violation(self):
         with pytest.raises(SupportViolationError):
-            ks_exponential_statistic(np.array([0.5, -0.1]))
+            ks_exponential_statistic_batch(np.array([[0.5, -0.1]]))
 
 
 def _legendre(l, x):
@@ -153,9 +152,9 @@ class TestKallenbergLedwina:
         # selected dimension is 2 as soon as 5n/4 beats the extra penalty
         for n in (2, 10, 50):
             x = np.full(n, 0.5)
-            selected, stat, _ = kallenberg_ledwina_test(x, 2, critical_value=np.inf)
-            assert selected == 2
-            assert stat == pytest.approx(1.25 * n, rel=1e-12)
+            selected, stats = kallenberg_ledwina_statistic_batch(x[None], 2)
+            assert selected[0] == 2
+            assert stats[0] == pytest.approx(1.25 * n, rel=1e-12)
 
     def test_statistic_matches_legendre_sum_oracle(self):
         rng = np.random.default_rng(13)
@@ -179,7 +178,7 @@ class TestKallenbergLedwina:
 
     def test_dimension_cap(self):
         with pytest.raises(InvalidInputError):
-            kallenberg_ledwina_test(np.full(5, 0.5), 21, 1.0)
+            kallenberg_ledwina_statistic_batch(np.full((1, 5), 0.5), 21)
 
 
 class TestCalibrateBaseline:
@@ -236,8 +235,6 @@ class TestCalibrateBaseline:
 
             stats = ks_statistic_batch(samples, Uniform01())
         elif kind is BaselineKind.KS_EXPONENTIAL:
-            from adagof.baselines import ks_exponential_statistic_batch
-
             stats = ks_exponential_statistic_batch(samples)
         elif kind is BaselineKind.BICKEL_RITOV:
             stats = bickel_ritov_statistic_batch(samples, cfg.d_of_n)
@@ -249,9 +246,9 @@ class TestCalibrateBaseline:
 
 _ENTRY_POINTS = {
     "ks_statistic": lambda x: ks_statistic(x, Uniform01()),
-    "ks_exponential_statistic": ks_exponential_statistic,
+    "ks_exponential_statistic_batch": lambda x: ks_exponential_statistic_batch(x[None]),
     "bickel_ritov_statistic": lambda x: bickel_ritov_statistic(x, 6),
-    "kallenberg_ledwina_test": lambda x: kallenberg_ledwina_test(x, 6, 1.0),
+    "kallenberg_ledwina_statistic_batch": lambda x: kallenberg_ledwina_statistic_batch(x[None], 6),
 }
 
 

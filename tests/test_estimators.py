@@ -27,7 +27,6 @@ from adagof.estimators import (
     scale_free_ratios,
     simple_stats_batch,
     t_hat,
-    t_tilde_affine,
     t_tilde_scale,
     theta_hat,
     theta_hat_naive,
@@ -160,11 +159,6 @@ _SEARCH_POLICIES = {
 @pytest.fixture(scope="module")
 def exp_sample():
     return Exponential().sample(500, derive_stream(42, "scale-search", 0))
-
-
-@pytest.fixture(scope="module")
-def gauss_sample():
-    return Gaussian(0.3, 1.2).sample(200, derive_stream(42, "affine-search", 0))
 
 
 class TestScaleSearch:
@@ -341,45 +335,6 @@ class TestScaleSearch:
             t_tilde_scale(np.array([2.0]), m, d)
 
 
-class TestAffineSearch:
-    def test_degenerate_rectangle_reduces_to_t_hat(self, gauss_sample):
-        m = ModelIndex(PW, 4)
-        d = Gaussian(0.0, 1.0)
-        res = t_tilde_affine(gauss_sample, m, d, ((0.3, 0.3), (1.2, 1.2)))
-        expected = t_hat((gauss_sample - 0.3) / 1.2, m, d)
-        assert res.value == pytest.approx(expected, abs=1e-12)
-        assert res.mu == 0.3 and res.sigma == 1.2
-
-    def test_min_property_over_grid_nodes(self, gauss_sample):
-        m = ModelIndex(PW, 4)
-        d = Gaussian(0.0, 1.0)
-        K = ((-1.0, 1.0), (0.5, 2.0))
-        res = t_tilde_affine(gauss_sample, m, d, K, grid=(9, 7), refine_rounds=0)
-        for mu in np.linspace(-1.0, 1.0, 9):
-            for sig in np.linspace(0.5, 2.0, 7):
-                assert res.value <= t_hat((gauss_sample - mu) / sig, m, d) + 1e-12
-
-    def test_against_dense_grid_oracle(self, gauss_sample):
-        m = ModelIndex(PW, 4)
-        d = Gaussian(0.0, 1.0)
-        K = ((-1.0, 1.0), (0.5, 2.0))
-        res = t_tilde_affine(gauss_sample, m, d, K, grid=(33, 33), refine_rounds=2)
-        mus = np.linspace(-1.0, 1.0, 400)
-        sigs = np.linspace(0.5, 2.0, 400)
-        x = np.sort(gauss_sample)
-        dense = min(
-            t_hat((x - mu) / sig, m, d) for mu in mus for sig in sigs
-        )
-        # within the oracle's own resolution envelope around the refinement cell
-        assert res.value <= dense + 5e-3
-
-    def test_inverted_rectangle_rejected(self, gauss_sample):
-        with pytest.raises(InvalidInputError):
-            t_tilde_affine(gauss_sample, ModelIndex(PW, 2), Gaussian(0.0, 1.0), ((1.0, -1.0), (0.5, 2.0)))
-        with pytest.raises(InvalidInputError):
-            t_tilde_affine(gauss_sample, ModelIndex(PW, 2), Gaussian(0.0, 1.0), ((0.0, 0.0), (-1.0, 2.0)))
-
-
 def _oracle_t_hat(x, m, d):
     upper = d.support[1] if math.isfinite(d.support[1]) else None
     plug_in = d.l2_norm_sq - 2.0 * float(np.sum(d.pdf(x))) / x.size
@@ -489,6 +444,26 @@ def test_a_statistic_past_the_float_range_raises():
         simple_stats_batch(x, [ModelIndex(PW, 2)], d)
 
 
+@pytest.mark.parametrize("family", [FOURIER, PW])
+def test_a_simple_statistic_past_the_stack_bound_is_refused_before_it_allocates(family):
+    # one row just above the bound: 256 observations times a Fourier degree's
+    # 2 ** 16 + 2 stacked functions, or 257 times 2 ** 16 piecewise degrees;
+    # each float64 temporary of it is 128 MiB, and nothing refused it
+    if family is FOURIER:
+        n, models = 256, [ModelIndex(FOURIER, estimators._MAX_DEGREE)]
+    else:
+        n, models = 257, [ModelIndex(PW, D) for D in range(1, estimators._MAX_DEGREE + 1)]
+    x = np.linspace(0.0, 1.0, n)[None, :]
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidInputError, match="above its bound"):
+            simple_stats_batch(x, models, Uniform01())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 23  # the column lists and the (1, models) output
+
+
 @pytest.mark.parametrize("bad", [np.nextafter(1.0, 2.0), -1e-300])
 def test_fourier_domain_checked_on_every_row(bad):
     models = [ModelIndex(FOURIER, degree) for degree in range(1, 13)]
@@ -510,9 +485,6 @@ _ENTRY_POINTS = {
     "t_hat_fourier": lambda x: t_hat(x, ModelIndex(FOURIER, 3), Uniform01()),
     "t_hat_piecewise": lambda x: t_hat(x, ModelIndex(PW, 3), Gaussian(0.0, 1.0)),
     "t_tilde_scale": lambda x: t_tilde_scale(x, ModelIndex(PW, 3), Exponential()),
-    "t_tilde_affine": lambda x: t_tilde_affine(
-        x, ModelIndex(PW, 3), Gaussian(0.0, 1.0), ((-0.5, 0.5), (0.5, 2.0))
-    ),
 }
 
 

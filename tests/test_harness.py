@@ -728,6 +728,19 @@ def test_a_gaussian_null_whose_density_overflows_exits_2_within_a_second(tmp_pat
     assert "is not finite" in capsys.readouterr().err
 
 
+def test_a_fourier_degree_whose_row_stack_passes_the_bound_exits_2_within_five_seconds(tmp_path, capsys):
+    # n * (degree + 2) is about 2 GiB of float64 per row, which the simple
+    # kernel stacked unchecked
+    argv = [
+        "calibrate", "--null", "uniform", "--models", "fourier:65536", "--n", "2000",
+        "--b1", "100", "--b2", "100", "--out", str(tmp_path / "table.json"),
+    ]
+    start = time.perf_counter()
+    assert cli_main(argv) == 2
+    assert time.perf_counter() - start < 5.0
+    assert "above its bound" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("case", ["gaussian:0,1e-320 null", "norm:h:1e-310 alternative"])
 def test_a_refusal_is_not_preceded_by_a_runtime_warning(case, tmp_path):
     # the null warned "invalid value encountered in subtract" in the plug-in

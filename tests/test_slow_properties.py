@@ -11,19 +11,13 @@ import pytest
 from scipy import stats
 
 from adagof.alternatives import from_id
-from adagof.bases import BasisFamily
-from adagof.calibration import calibrate
-from adagof.estimators import ModelIndex
 from adagof.harness import rejection_counts, TestColumn, TestKind
-from adagof.null_models import Gaussian, Uniform01
+from adagof.null_models import Uniform01
 from adagof.streams import derive_stream
-from adagof.adaptive_test import run_composite_compact_test
 
 from test_alternatives import CATALOG_IDS
 
 pytestmark = pytest.mark.slow
-
-PW = BasisFamily.PIECEWISE_CONSTANT
 
 
 @pytest.mark.parametrize("alt_id", CATALOG_IDS)
@@ -46,27 +40,6 @@ def test_sampler_consistency_hundred_seeds(alt_id):
         if d > crit + 1e-3:  # 1e-3 absorbs the numeric-cdf quadrature bias
             failures += 1
     assert failures <= 3
-
-
-def test_compact_composite_level_twenty_thousand():
-    # level of the compact-rectangle test under a family member whose
-    # parameters sit on the search grid, at the contract budget
-    table = calibrate(
-        Gaussian(0.0, 1.0), [ModelIndex(PW, d) for d in (2, 3, 4, 5)],
-        n=100, alpha=0.05, B1=20_000, B2=20_000, seed=55,
-    )
-    mu0, sig0 = 0.25, 1.25
-    K = ((-1.0, 1.0), (0.5, 2.0))
-    reps = 20_000
-    rejections = 0
-    for r in range(reps):
-        x = Gaussian(mu0, sig0).sample(100, derive_stream(56, "compact-level", r))
-        res = run_composite_compact_test(
-            x, Gaussian(0.0, 1.0), K, (9, 7), table, refine_rounds=0
-        )
-        rejections += res.reject
-    level = rejections / reps
-    assert level <= 0.05 + 0.01
 
 
 def test_power_monotone_in_contamination_amplitude():
