@@ -160,19 +160,24 @@ def _settled_scale_stats(samples, models, d, policy, floors, top, largest) -> np
     largest bounds are searched first, so ``L`` is set before the others
     are read.  ``largest[j]`` carries the model's ``top`` largest exact
     values from block to block.  A value kept as its bound lies strictly
-    below the cut, and so does its exact value.
+    below the cut, and so does its exact value.  The models' cuts are
+    independent, so each of the two phases is one masked search over every
+    model.
     """
     stats = _near_unit_bound(samples, models, d, policy)
-    for j, m in enumerate(models):
-        by_bound = np.argsort(-stats[:, j], kind="stable")
-        for rows in np.split(by_bound, [_TOP_START * top]):
-            seen = largest[j]
+    by_bound = np.argsort(-stats, axis=0, kind="stable")
+    for phase in np.split(by_bound, [_TOP_START * top]):
+        open = np.zeros(stats.shape, dtype=bool)
+        for j, seen in enumerate(largest):
             cut = max(floors[j], seen[0] if top and seen.size == top else -np.inf)
-            rows = rows[stats[rows, j] >= cut]
-            if rows.size:
-                stats[rows, j] = composite_scale_stats_batch(samples[rows], [m], d, policy)[:, 0]
-                if top:
-                    largest[j] = np.sort(np.concatenate([seen, stats[rows, j]]))[-top:]
+            open[phase[stats[phase[:, j], j] >= cut, j], j] = True
+        rows = np.flatnonzero(open.any(axis=1))
+        if rows.size:
+            exact = composite_scale_stats_batch(samples[rows], models, d, policy, open[rows])
+            stats[rows] = np.where(open[rows], exact, stats[rows])
+        if top:
+            for j, seen in enumerate(largest):
+                largest[j] = np.sort(np.concatenate([seen, stats[open[:, j], j]]))[-top:]
     return stats
 
 

@@ -43,12 +43,15 @@ Power counts and calibration thresholds and levels do not need every
 infimum.  They first score each (row, degree) pair at the coarse ratios
 nearest r = 1 (:func:`_near_unit_bound`).  Each such value is one of the
 search's own candidates, computed with its arithmetic, so their minimum is
-an upper bound on the search's result.  A pair is then searched exactly,
-one degree at a time through :func:`composite_scale_stats_batch`, only
-where a count or a threshold can depend on it: its bound exceeds its
+an upper bound on the search's result.  A pair is then searched exactly
+only where a count or a threshold can depend on it: its bound exceeds its
 threshold, or it may be among the largest values that a threshold quantile
-reads.  A pair's exact value does not depend on the other rows or degrees,
-so every count, threshold and level curve keeps its bits.
+reads.  :func:`composite_scale_stats_batch` takes those pairs as a mask:
+it scales each row with an open pair to the coarse grid once, for all of
+its open degrees, and refines the open pairs in blocks, each at its own
+degree.  A pair's exact value does not depend on the other rows or degrees,
+or on which pairs are open, so every count, threshold and level curve keeps
+its bits.
 """
 
 from __future__ import annotations
@@ -132,12 +135,15 @@ class ScaleSearchPolicy:
     of the previous round either side, so each round is ``refine_factor``
     times finer.  No window leaves the first one.
 
-    The search scores a block of rows at once: the whole coarse grid at every
-    degree, then each round's candidates of every (row, degree) pair.  Its
-    memory is fixed: at most about ``_BLOCK_ELEMENTS`` scaled observations,
-    or one row's ``n * max(coarse_points, degrees * (2 * refine_factor + 1))``.
-    A search whose one row would stack more than ``_MAX_SEARCH_ELEMENTS``
-    (2**24) is refused before it allocates.
+    The search runs in two passes.  The coarse pass scores a block of rows
+    on the whole grid, degree by degree; the refinement pass scores each
+    round's candidates of a block of (row, degree) pairs.  Its memory is
+    fixed: a block holds about ``_BLOCK_ELEMENTS`` scaled observations, and
+    at least one row's ``n * coarse_points`` in the coarse pass and one
+    pair's ``n * (2 * refine_factor + 1)`` in the refinement pass.  A search
+    whose one row would stack more than ``_MAX_SEARCH_ELEMENTS`` (2**24) at
+    ``n * max(coarse_points, degrees * (2 * refine_factor + 1))`` is refused
+    before it allocates.
     """
 
     relative_span: float = 10.0
@@ -359,66 +365,97 @@ def _search_input(samples, models, d: NullDensity, policy: ScaleSearchPolicy) ->
 
 
 def _scale_search(
-    samples: np.ndarray, models, d: NullDensity, policy: ScaleSearchPolicy
+    samples: np.ndarray, models, d: NullDensity, policy: ScaleSearchPolicy, open: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Minimum of ``t_hat(x / (mean(x) r))`` over the policy's ratios ``r``,
     per row and piecewise model, and the ratio attaining it.
 
-    Ties keep the candidate evaluated first: the smallest coarse ratio, and a
-    refinement candidate only when it is strictly lower.
+    ``open``, a (rows, models) boolean mask, names the pairs to search
+    (``None``: every pair); the others hold NaN.  A pair's value and ratio
+    do not depend on which other pairs are searched.  Ties keep the
+    candidate evaluated first: the smallest coarse ratio, and a refinement
+    candidate only when it is strictly lower.
+
+    The coarse pass scales a block of rows that have an open pair to every
+    grid ratio and takes their plug-in terms once, then bins and scores the
+    block at each of its open degrees.  The refinement pass scores blocks of
+    open pairs, each pair at its own degree.
     """
     y = _search_input(samples, models, d, policy)
     degrees = np.array([m.degree for m in models])
+    shape = (y.shape[0], degrees.size)
+    open = np.ones(shape, dtype=bool) if open is None else np.asarray(open, dtype=bool)
+    if open.shape != shape:
+        raise InvalidInputError(f"the search mask has shape {open.shape}, not {shape}")
     grid = policy.ratios()
     log_grid = np.log(grid)
-    steps = 2 * policy.refine_factor
-    fractions = np.arange(steps + 1) / steps
-    best = np.empty((y.shape[0], degrees.size))
-    best_ratio = np.empty_like(best)
-    candidates = max(grid.size, degrees.size * (steps + 1))
-    for blk in _row_blocks(y.shape[0], y.shape[1] * candidates):
-        # every (row, grid ratio) pair at every degree; the first minimum
-        # along the grid is the first candidate evaluated
-        z = y[blk, None, :] * (1.0 / grid)[:, None]
+    best = np.full(shape, np.nan)
+    best_ratio = np.full(shape, np.nan)
+    at = np.zeros(shape, dtype=int)  # each pair's coarse argmin
+    searched = np.flatnonzero(open.any(axis=1))
+    for blk in _row_blocks(searched.size, y.shape[1] * grid.size):
+        rows = searched[blk]
+        some = open[rows]
+        # every (row, grid ratio) pair at every open degree; the first
+        # minimum along the grid is the first candidate evaluated
+        z = y[rows, None, :] * (1.0 / grid)[:, None]
         plug = _plug_in(z, d)
         vals = np.empty(plug.shape + degrees.shape)
         bins = np.empty_like(z)
-        for col, degree in enumerate(degrees.tolist()):
-            np.floor(np.multiply(degree, z, out=bins), out=bins)
-            np.add(plug, _piecewise_theta(bins, degree), out=vals[..., col])
+        for col in np.flatnonzero(some.any(axis=0)):
+            degree = int(degrees[col])
+            if some[:, col].all():  # the whole block, binned without a copy
+                np.floor(np.multiply(degree, z, out=bins), out=bins)
+                np.add(plug, _piecewise_theta(bins, degree), out=vals[..., col])
+            else:
+                zs = z[some[:, col]]
+                np.floor(np.multiply(degree, zs, out=zs), out=zs)
+                vals[some[:, col], :, col] = plug[some[:, col]] + _piecewise_theta(zs, degree)
+        # a closed pair's column holds no values: its argmin is discarded
         j = vals.argmin(axis=1)
-        best[blk] = np.take_along_axis(vals, j[:, None, :], axis=1)[:, 0]
-        best_ratio[blk] = grid[j]
-        lo = log_grid[np.maximum(j - 1, 0)]
-        hi = log_grid[np.minimum(j + 1, grid.size - 1)]
+        best[rows] = np.where(some, np.take_along_axis(vals, j[:, None, :], axis=1)[:, 0], np.nan)
+        best_ratio[rows] = np.where(some, grid[j], np.nan)
+        at[rows] = j
+    steps = 2 * policy.refine_factor
+    fractions = np.arange(steps + 1) / steps
+    pair_rows, pair_cols = np.nonzero(open)
+    for blk in (_row_blocks(pair_rows.size, y.shape[1] * (steps + 1)) if policy.refine_rounds else []):
+        pairs = pair_rows[blk], pair_cols[blk]
+        deg = degrees[pairs[1]][:, None]
+        lo = log_grid[np.maximum(at[pairs] - 1, 0)]
+        hi = log_grid[np.minimum(at[pairs] + 1, grid.size - 1)]
+        value, ratio = best[pairs], best_ratio[pairs]
         cur_lo, cur_hi = lo, hi
         for _ in range(policy.refine_rounds):
-            # every candidate of every (row, degree) pair, each at its degree
-            r = np.exp(cur_lo[..., None] + (cur_hi - cur_lo)[..., None] * fractions)
-            z = y[blk, None, None, :] / r[..., None]
-            vals = _piecewise_theta(np.floor(degrees[:, None, None] * z), degrees[:, None])
-            vals += _plug_in(z, d)
-            t = vals.argmin(axis=2)[..., None]
-            lowest = np.take_along_axis(vals, t, axis=2)[..., 0]
-            better = lowest < best[blk]
-            np.copyto(best[blk], lowest, where=better)
-            np.copyto(best_ratio[blk], np.take_along_axis(r, t, axis=2)[..., 0], where=better)
+            # every candidate of every pair in the block, each at its degree
+            r = np.exp(cur_lo[:, None] + (cur_hi - cur_lo)[:, None] * fractions)
+            z = y[pairs[0], None, :] / r[..., None]
+            plug = _plug_in(z, d)
+            vals = _piecewise_theta(np.floor(np.multiply(deg[..., None], z, out=z), out=z), deg)
+            vals += plug
+            t = vals.argmin(axis=1)[:, None]
+            lowest = np.take_along_axis(vals, t, axis=1)[:, 0]
+            better = lowest < value
+            np.copyto(value, lowest, where=better)
+            np.copyto(ratio, np.take_along_axis(r, t, axis=1)[:, 0], where=better)
             width = (cur_hi - cur_lo) / steps
-            centre = np.log(best_ratio[blk])
+            centre = np.log(ratio)
             cur_lo = np.maximum(centre - width, lo)
             cur_hi = np.minimum(centre + width, hi)
+        best[pairs], best_ratio[pairs] = value, ratio
     return best, best_ratio
 
 
 def composite_scale_stats_batch(
-    samples: np.ndarray, models, d: NullDensity, policy: ScaleSearchPolicy
+    samples: np.ndarray, models, d: NullDensity, policy: ScaleSearchPolicy, open: np.ndarray | None = None
 ) -> np.ndarray:
     """Matrix of ``t_tilde_scale`` values across replicates.
 
     Only piecewise models are supported (the composite search is used with
-    bin-count statistics).
+    bin-count statistics).  ``open`` marks the (row, model) pairs to search,
+    as in :func:`_scale_search`; the others hold NaN.
     """
-    return _scale_search(samples, models, d, policy)[0]
+    return _scale_search(samples, models, d, policy, open)[0]
 
 
 #: Coarse ratios either side of r = 1 that :func:`_near_unit_bound` scores.

@@ -315,7 +315,8 @@ def _composite_rejected(x: np.ndarray, models, d, policy, thresholds: np.ndarray
     most its threshold cannot exceed it.  The others are searched exactly,
     one model at a time, the model with the most open pairs first; a row is
     settled as rejected once one of its values exceeds, and its other models
-    are never searched.
+    are never searched, which one masked search over every model could not
+    skip.
     """
     open_pairs = _near_unit_bound(x, models, d, policy) > thresholds
     rejected = np.zeros(x.shape[0], dtype=bool)

@@ -14,6 +14,7 @@ import json
 import math
 import os
 import platform
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -303,38 +304,33 @@ def test_criterion_10_rate_statements_out_of_computational_scope():
     _report("criterion 10: rate statements covered indirectly by the property suite", [])
 
 
-# Where every digest below was measured.  The bits depend on numpy's
-# SeedSequence and PCG64 and on libm's cos, sin, exp and log, so a digest
-# failure prints this beside the running platform; a declared re-baseline
-# edits the digests and this record in the same commit.
-DIGEST_PLATFORM = {"numpy": "2.4.6", "machine": "x86_64", "system": "Linux"}
-
-# sha256 of the bytes that ``adagof table <id> --scale 0.25 --seed 1`` writes.
-PRESET_DIGESTS = {
-    0.25: {
-        "T1": "156602c8db733781aaba5580f1fccf78f2b17ad3c61eb05bcb2aaaf83864b053",
-        "T2": "293eef6c332f49dc33eca803decc2f7c984eceb83e021697cb5be00373db082a",
-        "T3": "33064936fc44baa0534c7a04a7037e5988b9dbe8605156e3bf3087119ac602fe",
-        "T4": "575addd7f14305d56ff12be284a0633a3f2775463948e69e2221f3bf08a8d26d",
-    },
+# The digest manifest: every sha256 pin of this suite and the platform where
+# the pins were measured (see its "about" entry).  A digest failure prints
+# that platform beside the running one; a declared re-baseline edits the
+# digests and the platform in the same commit.
+MANIFEST = Path(__file__).with_name("digests.json")
+_MANIFEST = json.loads(MANIFEST.read_text(encoding="utf-8"))
+DIGEST_PLATFORM = _MANIFEST["platform"]
+PRESET_DIGESTS = {float(scale): pins for scale, pins in _MANIFEST["preset_csv"].items()}
+PRESET_COLUMN_DIGESTS = {
+    float(scale): {(e["table"], e["null"], e["column"]): e["sha256"] for e in entries}
+    for scale, entries in _MANIFEST["preset_columns"].items()
 }
-
-# sha256 of the bytes ``CalibrationTable.save`` writes for
-# ``adagof calibrate --null NULL --models MODELS --n 50 --seed 7 --b1 B --b2 B``.
-TABLE_DIGESTS = {
-    ("uniform", "fourier:1-6", 2000): "e041f6e8639084205f83b7e79f304a7e40d3b156c4110540f01e5d5d02d3fe44",
-    ("gaussian:0,0.1", "piecewise:1-4", 1000): "8c9f948e013684c4fbed6f5c7780506976374590371ec4d18f39001d3f7f3cff",
-}
+TABLE_DIGESTS = {(e["null"], e["models"], e["budget"]): e["sha256"] for e in _MANIFEST["reference_tables"]}
 
 
 def _running_platform() -> dict:
     return {"numpy": np.__version__, "machine": platform.machine(), "system": platform.system()}
 
 
+def _entry(name) -> str:
+    return " / ".join(map(str, name)) if isinstance(name, tuple) else str(name)
+
+
 def _digest_failures(want: dict, got: dict) -> list[str]:
-    where = f"pinned on {DIGEST_PLATFORM}, running on {_running_platform()}"
+    where = f"pinned in {MANIFEST.name} on {DIGEST_PLATFORM}, running on {_running_platform()}"
     return [
-        f"{name}: digest {want[name]} changed to {got[name]} ({where})"
+        f"{_entry(name)}: digest {want[name]} changed to {got[name]} ({where})"
         for name in want if got[name] != want[name]
     ]
 
@@ -347,6 +343,21 @@ def test_a_digest_failure_says_where_the_digest_was_pinned(monkeypatch):
     assert f"'numpy': '9.9.9', 'machine': '{platform.machine()}'" in failure
 
 
+def test_the_digest_manifest_holds_every_pin():
+    assert set(DIGEST_PLATFORM) == {"numpy", "machine", "system"}
+    assert set(PRESET_DIGESTS[0.25]) == {"T1", "T2", "T3", "T4"}
+    assert {table for table, _, _ in PRESET_COLUMN_DIGESTS[0.25]} == {"T1", "T2", "T3", "T4"}
+    assert len(PRESET_COLUMN_DIGESTS[0.25]) == len(_MANIFEST["preset_columns"]["0.25"]) == 18
+    assert len(TABLE_DIGESTS) == len(_MANIFEST["reference_tables"]) == 2
+    pins = [*PRESET_DIGESTS[0.25].values(), *PRESET_COLUMN_DIGESTS[0.25].values(), *TABLE_DIGESTS.values()]
+    assert all(len(pin) == 64 and set(pin) <= set("0123456789abcdef") for pin in pins)
+
+
+def test_a_column_digest_failure_names_its_manifest_entry():
+    (failure,) = _digest_failures({("T4", "exponential", "T_comp"): "a"}, {("T4", "exponential", "T_comp"): "b"})
+    assert failure.startswith("T4 / exponential / T_comp: digest a changed to b (pinned in digests.json on ")
+
+
 def test_preset_csv_bytes_keep_their_digests(preset_rows):
     if SCALE not in PRESET_DIGESTS:
         pytest.skip(f"no reference preset digests at ADAGOF_ACCEPTANCE_SCALE={SCALE}")
@@ -356,34 +367,6 @@ def test_preset_csv_bytes_keep_their_digests(preset_rows):
     }
     failures = _digest_failures(PRESET_DIGESTS[SCALE], got)
     assert not failures, failures
-
-
-# sha256 of each preset column's calibration at scale 0.25, seed 1: an
-# adaptive table as ``CalibrationTable.save`` writes it, a baseline as
-# ``json.dumps(BaselineConfig.to_json())``.  A threshold or critical value
-# can move by an ulp and leave every CSV digest above unchanged.
-PRESET_COLUMN_DIGESTS = {
-    0.25: {
-        ("T1", "uniform", "T_tr"): "efaf870a9d7d5ef4a16b9bf64b88b461bb8539929de82a6c1d8319818187ce8d",
-        ("T1", "uniform", "T_tr/ct"): "d497562cefa2082b8d6f72139053e431b808bcd08d9850462ae5e3264020e345",
-        ("T1", "uniform", "T_KL"): "13cd46c8dfcefa09e38aa2e2800d7220cc18ee2a4e3f7dfe097294b986b036ef",
-        ("T1", "uniform", "T_BR"): "7ce4a78a1d51bef5f22c0d0cd45600e9928262ba5d5c402a874ba1b76a05ecf1",
-        ("T1", "uniform", "T_KS"): "86bdb1f85dafb7476b57850d72bfacd311b92deb27e243be1126b5c13332ce39",
-        ("T2", "uniform", "T_tr"): "b8396882f0be53941c9cc8f7e0bf697b2c6cbebc96188bb956ec921882b714a0",
-        ("T2", "uniform", "T_tr/ct"): "cd58be959c10804c414120dfc5b26e361990d149a628162c901ff0f46f6a82d6",
-        ("T2", "uniform", "T_KL"): "bb78bf28005981d096daf1890fd81e8880ad7a48793abe07d3703d7e171daa9c",
-        ("T2", "uniform", "T_BR"): "291b3f2daa2e0b906f1c7a12a8277d4b733ab3f90e7a5fe93458667be1f91a87",
-        ("T2", "uniform", "T_KS"): "8f8d07c65e5db4dd7cbc2f941b5172aa7877d73d4fa31df107841544db283ba6",
-        ("T3", "gaussian(0,1)", "T_d"): "1d2e87d7b00211a78f10147630e7fcbd4bdb7cab52a4ab67feb2ab55433854a8",
-        ("T3", "gaussian(0,1)", "T_tr/ct"): "cd58be959c10804c414120dfc5b26e361990d149a628162c901ff0f46f6a82d6",
-        ("T3", "gaussian(0,1)", "T_KS"): "8f8d07c65e5db4dd7cbc2f941b5172aa7877d73d4fa31df107841544db283ba6",
-        ("T3", "gaussian(0,0.1)", "T_d"): "322399c63009a1a3eaff8feefe2a6847f2e045a1feb9978c04c7083e9cde5005",
-        ("T3", "gaussian(0,0.1)", "T_tr/ct"): "cd58be959c10804c414120dfc5b26e361990d149a628162c901ff0f46f6a82d6",
-        ("T3", "gaussian(0,0.1)", "T_KS"): "8f8d07c65e5db4dd7cbc2f941b5172aa7877d73d4fa31df107841544db283ba6",
-        ("T4", "exponential", "T_comp"): "91560e289ac602adb0d8e88e7f61287c5c9960441b183dbb0379f7a66b741edb",
-        ("T4", "exponential", "T_KS_exp"): "47c30bb7222571dcd31a26fb6be3117c8638138677b9924a1b5882ccbbb01051",
-    },
-}
 
 
 def test_preset_tables_and_critical_values_keep_their_digests(preset_runs):

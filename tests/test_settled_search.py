@@ -2,7 +2,9 @@
 search's candidates nearest r = 1 and search exactly only the pairs that a
 count, a threshold or a level can depend on.  Each consumer must give what
 it gives on the full ``composite_scale_stats_batch`` matrix, bit for bit,
-including values that tie a threshold exactly.
+including values that tie a threshold exactly.  The masked search scores
+only the pairs it is given, each bit for bit as the full search does, and a
+calibration block searches each of its rows' scaled grid once per phase.
 """
 
 import numpy as np
@@ -10,17 +12,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adagof import calibration
 from adagof.calibration import (
+    _TOP_START,
     StatisticKind,
+    _settled_scale_stats,
     _threshold_ranks,
     calibrate,
     draw_samples,
     level_curve_from_stats,
+    sample_blocks,
     simulate_null_stats,
     threshold_matrix,
 )
 from adagof.errors import InvalidInputError, SupportViolationError
 from adagof.estimators import (
+    _NEAR_UNIT,
     ScaleSearchPolicy,
     _near_unit_bound,
     _scale_search,
@@ -164,3 +171,153 @@ def test_composite_calibration_equals_the_full_matrices(alpha, B1, B2):
         assert table.level_curve.tobytes() == levels.tobytes()
         assert table.u_alpha == u_grid[np.nonzero(levels <= alpha)[0][-1]]
     assert tables[0].to_json() == tables[1].to_json()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.sampled_from([2, 20, 100, 200]),
+    rows=st.integers(1, 8),
+    degrees=st.sampled_from([(2, 10), (2, 4), (5, 5), (3, 8)]),
+    coarse=st.integers(3, 257),
+    rounds=st.integers(0, 3),
+    factor=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_the_masked_search_equals_the_full_search_on_every_open_pair(
+    n, rows, degrees, coarse, rounds, factor, seed, data
+):
+    # n = 2 and 20 put several rows in a coarse block, n = 100 and 200 one;
+    # refinement blocks hold from 9 to over 900 pairs
+    x = _rows("1.5", rows, n, seed)
+    models = scale_models(*degrees)
+    policy = ScaleSearchPolicy(coarse_points=coarse, refine_rounds=rounds, refine_factor=factor)
+    cells = st.lists(st.booleans(), min_size=rows * len(models), max_size=rows * len(models))
+    mask = np.array(data.draw(cells), dtype=bool).reshape(rows, len(models))
+    full = _scale_search(x, models, Exponential(), policy)
+    masked = _scale_search(x, models, Exponential(), policy, mask)
+    for got, want in zip(masked, full):
+        assert got[mask].tobytes() == want[mask].tobytes()
+        assert np.isnan(got[~mask]).all()
+    assert composite_scale_stats_batch(x, models, Exponential(), policy, mask).tobytes() == masked[0].tobytes()
+
+
+def test_a_mask_with_empty_rows_and_columns_searches_only_its_pairs():
+    x = _rows("exponential", 7, 20, 11)
+    models = scale_models(2, 7)
+    mask = np.zeros((7, len(models)), dtype=bool)
+    mask[[0, 3, 6], 1] = mask[3, 4] = mask[5, [0, 5]] = True  # rows 1, 2, 4 and columns 2, 3 empty
+    for policy in (POLICY, ScaleSearchPolicy(refine_rounds=2, refine_factor=3)):
+        full = _scale_search(x, models, Exponential(), policy)
+        masked = _scale_search(x, models, Exponential(), policy, mask)
+        for got, want in zip(masked, full):
+            assert got[mask].tobytes() == want[mask].tobytes()
+            assert np.isnan(got[~mask]).all()
+    values, ratios = _scale_search(x, models, Exponential(), POLICY, np.zeros_like(mask))
+    assert np.isnan(values).all() and np.isnan(ratios).all()
+
+
+def test_a_mask_of_the_wrong_shape_is_refused():
+    x = _rows("exponential", 3, 20, 12)
+    with pytest.raises(InvalidInputError, match="mask"):
+        _scale_search(x, scale_models(2, 4), Exponential(), POLICY, np.ones((3, 2), dtype=bool))
+
+
+def _per_model_settled(samples, models, d, policy, floors, top, largest):
+    """``_settled_scale_stats`` one model at a time, one full search per
+    model and phase: the reference that the masked phases must match.
+    Returns the statistics and, per phase, the (row, model) pairs searched."""
+    stats = _near_unit_bound(samples, models, d, policy)
+    searched = [set(), set()]
+    for j, m in enumerate(models):
+        by_bound = np.argsort(-stats[:, j], kind="stable")
+        for phase, rows in enumerate(np.split(by_bound, [_TOP_START * top])):
+            seen = largest[j]
+            cut = max(floors[j], seen[0] if top and seen.size == top else -np.inf)
+            rows = rows[stats[rows, j] >= cut]
+            searched[phase] |= {(int(i), j) for i in rows}
+            if rows.size:
+                stats[rows, j] = composite_scale_stats_batch(samples[rows], [m], d, policy)[:, 0]
+                if top:
+                    largest[j] = np.sort(np.concatenate([seen, stats[rows, j]]))[-top:]
+    return stats, searched
+
+
+def _chunk_ranges(reps, workers):
+    bounds = np.linspace(0, reps, workers + 1).astype(int)
+    return [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
+
+
+@pytest.mark.parametrize("top", [1, 25, _BLOCK + 40, 0], ids=["top-1", "top-25", "top-552", "level"])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_the_masked_phases_search_the_pairs_of_the_per_model_loop(top, workers, monkeypatch):
+    # every block of every chunk that ``workers`` would run, in this process;
+    # top = 0 is the level stage, which searches the values above its floors
+    d, models, n, reps, seed = Exponential(), scale_models(2, 5), 20, 1300, 6
+    label = "calib:level" if top == 0 else "calib:thresholds"
+    floors = np.full(len(models), -np.inf)
+    if top == 0:
+        exact = composite_scale_stats_batch(draw_samples(d.sample, n, seed, label, 0, reps), models, d, POLICY)
+        floors = np.quantile(exact, 0.85, axis=0)
+    calls = []
+    search = calibration.composite_scale_stats_batch
+
+    def recorded(samples, models, d, policy, open=None):
+        calls.append((samples.copy(), open.copy()))
+        return search(samples, models, d, policy, open)
+
+    monkeypatch.setattr(calibration, "composite_scale_stats_batch", recorded)
+    for start, stop in _chunk_ranges(reps, workers):
+        largest, reference_largest = [np.empty(0)] * len(models), [np.empty(0)] * len(models)
+        for samples in sample_blocks(d.sample, n, seed, label, start, stop):
+            want, phases = _per_model_settled(samples, models, d, POLICY, floors, top, reference_largest)
+            calls.clear()
+            got = _settled_scale_stats(samples, models, d, POLICY, floors, top, largest)
+            assert got.tobytes() == want.tobytes()
+            # one call per phase that searches anything, on the same pairs
+            row_of = {row.tobytes(): i for i, row in enumerate(samples)}
+            searched = [
+                {(row_of[rows[i].tobytes()], int(j)) for i, j in zip(*np.nonzero(mask))} for rows, mask in calls
+            ]
+            assert searched == [pairs for pairs in phases if pairs]
+            for mine, theirs in zip(largest, reference_largest):
+                assert mine.tobytes() == theirs.tobytes()
+
+
+class _CountingExponential(Exponential):
+    """The unit exponential, counting the values its ``pdf`` evaluates."""
+
+    evaluated = [0]
+
+    def pdf(self, x):
+        self.evaluated[0] += np.size(x)
+        return super().pdf(x)
+
+
+@pytest.mark.parametrize(
+    "n, degrees, policy, top",
+    [
+        (100, (2, 10), ScaleSearchPolicy(), 25),
+        (20, (2, 7), ScaleSearchPolicy(coarse_points=33, refine_rounds=2, refine_factor=3), 1),
+        (50, (2, 10), POLICY, 0),
+    ],
+    ids=["default-policy", "two-rounds", "level-floors"],
+)
+def test_a_settled_block_scores_each_searched_row_grid_once_per_phase(n, degrees, policy, top):
+    d, models = _CountingExponential(), scale_models(*degrees)
+    samples = draw_samples(Exponential().sample, n, 3, "calib:thresholds", 0, _BLOCK)
+    if top:
+        floors = np.full(len(models), -np.inf)
+    else:  # the level stage: values above a floor near the top tenth
+        floors = np.quantile(_near_unit_bound(samples, models, d, policy), 0.9, axis=0)
+    empty = [np.empty(0)] * len(models)
+    _, phases = _per_model_settled(samples, models, d, policy, floors, top, list(empty))
+    searched_rows = sum(len({i for i, _ in pairs}) for pairs in phases)
+    searched_pairs = sum(len(pairs) for pairs in phases)
+    assert searched_pairs > searched_rows  # some row is searched at more than one degree
+    d.evaluated[0] = 0
+    _settled_scale_stats(samples, models, d, policy, floors, top, list(empty))
+    steps = 2 * policy.refine_factor + 1
+    bound_pass = _BLOCK * min(2 * _NEAR_UNIT + 1, policy.coarse_points) * n
+    most = bound_pass + (searched_rows * policy.coarse_points + searched_pairs * steps * policy.refine_rounds) * n
+    assert d.evaluated[0] <= most
