@@ -167,17 +167,17 @@ def _settled_scale_stats(samples, models, d, policy, floors, top, largest) -> np
     stats = _near_unit_bound(samples, models, d, policy)
     by_bound = np.argsort(-stats, axis=0, kind="stable")
     for phase in np.split(by_bound, [_TOP_START * top]):
-        open = np.zeros(stats.shape, dtype=bool)
+        mask = np.zeros(stats.shape, dtype=bool)
         for j, seen in enumerate(largest):
             cut = max(floors[j], seen[0] if top and seen.size == top else -np.inf)
-            open[phase[stats[phase[:, j], j] >= cut, j], j] = True
-        rows = np.flatnonzero(open.any(axis=1))
+            mask[phase[stats[phase[:, j], j] >= cut, j], j] = True
+        rows = np.flatnonzero(mask.any(axis=1))
         if rows.size:
-            exact = composite_scale_stats_batch(samples[rows], models, d, policy, open[rows])
-            stats[rows] = np.where(open[rows], exact, stats[rows])
+            exact = composite_scale_stats_batch(samples[rows], models, d, policy, mask[rows])
+            stats[rows] = np.where(mask[rows], exact, stats[rows])
         if top:
             for j, seen in enumerate(largest):
-                largest[j] = np.sort(np.concatenate([seen, stats[open[:, j], j]]))[-top:]
+                largest[j] = np.sort(np.concatenate([seen, stats[mask[:, j], j]]))[-top:]
     return stats
 
 

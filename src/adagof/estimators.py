@@ -141,9 +141,8 @@ class ScaleSearchPolicy:
     fixed: a block holds about ``_BLOCK_ELEMENTS`` scaled observations, and
     at least one row's ``n * coarse_points`` in the coarse pass and one
     pair's ``n * (2 * refine_factor + 1)`` in the refinement pass.  A search
-    whose one row would stack more than ``_MAX_SEARCH_ELEMENTS`` (2**24) at
-    ``n * max(coarse_points, degrees * (2 * refine_factor + 1))`` is refused
-    before it allocates.
+    is refused before it allocates where ``n * max(coarse_points, degrees *
+    (2 * refine_factor + 1))`` exceeds ``_MAX_SEARCH_ELEMENTS`` (2**24).
     """
 
     relative_span: float = 10.0
@@ -214,11 +213,14 @@ def scale_free_ratios(x: np.ndarray) -> np.ndarray:
 #: block faults them back in (a 300 x 100 search ran ~35% slower, x86-64).
 _BLOCK_ELEMENTS = 1 << 15
 
-#: Values one row of a stacked kernel may hold: the composite scale search's
-#: coarse grid or one refinement round at every degree, or the simple
-#: kernel's piecewise degrees or Fourier functions.  Each float64 temporary
-#: of that size is 128 MiB; the default policy stays within it up to
-#: n = 65,280, and a Fourier degree of 8,190 up to n = 2,048.
+#: Values one row of a stacked kernel may hold: the simple kernel's piecewise
+#: degrees or Fourier functions, or the composite scale search's count
+#: ``n * max(coarse_points, degrees * (2 * refine_factor + 1))``.  The search
+#: stacks at most one row's coarse grid or one pair's refinement round, but
+#: its count still includes every degree, so the inputs it refuses stay those
+#: of the search that stacked a round at every degree of a row.  Each float64
+#: temporary of that size is 128 MiB; the default policy stays within it up
+#: to n = 65,280, and a Fourier degree of 8,190 up to n = 2,048.
 _MAX_SEARCH_ELEMENTS = 1 << 24
 
 
@@ -365,12 +367,12 @@ def _search_input(samples, models, d: NullDensity, policy: ScaleSearchPolicy) ->
 
 
 def _scale_search(
-    samples: np.ndarray, models, d: NullDensity, policy: ScaleSearchPolicy, open: np.ndarray | None = None
+    samples: np.ndarray, models, d: NullDensity, policy: ScaleSearchPolicy, mask: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Minimum of ``t_hat(x / (mean(x) r))`` over the policy's ratios ``r``,
     per row and piecewise model, and the ratio attaining it.
 
-    ``open``, a (rows, models) boolean mask, names the pairs to search
+    ``mask``, a (rows, models) boolean array, names the pairs to search
     (``None``: every pair); the others hold NaN.  A pair's value and ratio
     do not depend on which other pairs are searched.  Ties keep the
     candidate evaluated first: the smallest coarse ratio, and a refinement
@@ -378,24 +380,22 @@ def _scale_search(
 
     The coarse pass scales a block of rows that have an open pair to every
     grid ratio and takes their plug-in terms once, then bins and scores the
-    block at each of its open degrees.  The refinement pass scores blocks of
+    whole block at each degree open on one of its rows.  The refinement pass scores blocks of
     open pairs, each pair at its own degree.
     """
     y = _search_input(samples, models, d, policy)
     degrees = np.array([m.degree for m in models])
     shape = (y.shape[0], degrees.size)
-    open = np.ones(shape, dtype=bool) if open is None else np.asarray(open, dtype=bool)
-    if open.shape != shape:
-        raise InvalidInputError(f"the search mask has shape {open.shape}, not {shape}")
+    mask = np.ones(shape, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
     grid = policy.ratios()
     log_grid = np.log(grid)
     best = np.full(shape, np.nan)
     best_ratio = np.full(shape, np.nan)
     at = np.zeros(shape, dtype=int)  # each pair's coarse argmin
-    searched = np.flatnonzero(open.any(axis=1))
+    searched = np.flatnonzero(mask.any(axis=1))
     for blk in _row_blocks(searched.size, y.shape[1] * grid.size):
         rows = searched[blk]
-        some = open[rows]
+        some = mask[rows]
         # every (row, grid ratio) pair at every open degree; the first
         # minimum along the grid is the first candidate evaluated
         z = y[rows, None, :] * (1.0 / grid)[:, None]
@@ -404,21 +404,16 @@ def _scale_search(
         bins = np.empty_like(z)
         for col in np.flatnonzero(some.any(axis=0)):
             degree = int(degrees[col])
-            if some[:, col].all():  # the whole block, binned without a copy
-                np.floor(np.multiply(degree, z, out=bins), out=bins)
-                np.add(plug, _piecewise_theta(bins, degree), out=vals[..., col])
-            else:
-                zs = z[some[:, col]]
-                np.floor(np.multiply(degree, zs, out=zs), out=zs)
-                vals[some[:, col], :, col] = plug[some[:, col]] + _piecewise_theta(zs, degree)
-        # a closed pair's column holds no values: its argmin is discarded
+            np.floor(np.multiply(degree, z, out=bins), out=bins)
+            np.add(plug, _piecewise_theta(bins, degree), out=vals[..., col])
+        # a closed pair's value and argmin are discarded
         j = vals.argmin(axis=1)
         best[rows] = np.where(some, np.take_along_axis(vals, j[:, None, :], axis=1)[:, 0], np.nan)
         best_ratio[rows] = np.where(some, grid[j], np.nan)
         at[rows] = j
     steps = 2 * policy.refine_factor
     fractions = np.arange(steps + 1) / steps
-    pair_rows, pair_cols = np.nonzero(open)
+    pair_rows, pair_cols = np.nonzero(mask)
     for blk in (_row_blocks(pair_rows.size, y.shape[1] * (steps + 1)) if policy.refine_rounds else []):
         pairs = pair_rows[blk], pair_cols[blk]
         deg = degrees[pairs[1]][:, None]
@@ -447,15 +442,15 @@ def _scale_search(
 
 
 def composite_scale_stats_batch(
-    samples: np.ndarray, models, d: NullDensity, policy: ScaleSearchPolicy, open: np.ndarray | None = None
+    samples: np.ndarray, models, d: NullDensity, policy: ScaleSearchPolicy, mask: np.ndarray | None = None
 ) -> np.ndarray:
     """Matrix of ``t_tilde_scale`` values across replicates.
 
     Only piecewise models are supported (the composite search is used with
-    bin-count statistics).  ``open`` marks the (row, model) pairs to search,
+    bin-count statistics).  ``mask`` marks the (row, model) pairs to search,
     as in :func:`_scale_search`; the others hold NaN.
     """
-    return _scale_search(samples, models, d, policy, open)[0]
+    return _scale_search(samples, models, d, policy, mask)[0]
 
 
 #: Coarse ratios either side of r = 1 that :func:`_near_unit_bound` scores.

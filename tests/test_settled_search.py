@@ -217,12 +217,6 @@ def test_a_mask_with_empty_rows_and_columns_searches_only_its_pairs():
     assert np.isnan(values).all() and np.isnan(ratios).all()
 
 
-def test_a_mask_of_the_wrong_shape_is_refused():
-    x = _rows("exponential", 3, 20, 12)
-    with pytest.raises(InvalidInputError, match="mask"):
-        _scale_search(x, scale_models(2, 4), Exponential(), POLICY, np.ones((3, 2), dtype=bool))
-
-
 def _per_model_settled(samples, models, d, policy, floors, top, largest):
     """``_settled_scale_stats`` one model at a time, one full search per
     model and phase: the reference that the masked phases must match.
@@ -262,9 +256,9 @@ def test_the_masked_phases_search_the_pairs_of_the_per_model_loop(top, workers, 
     calls = []
     search = calibration.composite_scale_stats_batch
 
-    def recorded(samples, models, d, policy, open=None):
-        calls.append((samples.copy(), open.copy()))
-        return search(samples, models, d, policy, open)
+    def recorded(samples, models, d, policy, mask=None):
+        calls.append((samples.copy(), mask.copy()))
+        return search(samples, models, d, policy, mask)
 
     monkeypatch.setattr(calibration, "composite_scale_stats_batch", recorded)
     for start, stop in _chunk_ranges(reps, workers):
